@@ -95,10 +95,9 @@ class DampingRates:
 
 @dataclass(frozen=True)
 class DampingDynamics:
-    """Dissipative branch: generator pair plus its analytic rates."""
+    """Dissipative branch: state generator plus its analytic rates."""
 
     generator: Superoperator
-    heisenberg: Superoperator
     rates: DampingRates
     gamma: complex
 
@@ -189,12 +188,7 @@ def effective_hamiltonian(
     return h_eff, 2.0 * math.pi / abs(delta)
 
 
-def adapt(
-    psi: InputAmplitudes,
-    H: TwoLevelHamiltonian,
-    g: Susceptibility,
-    zero_tol: float = _ZERO_AMP_TOL,
-) -> AdaptiveDynamics:
+def adapt(psi: InputAmplitudes, H: TwoLevelHamiltonian, g: Susceptibility) -> AdaptiveDynamics:
     """Pick the dynamics the input state switches on.
 
     Both amplitudes nonzero: damping branch, whose generator does not depend
@@ -203,15 +197,14 @@ def adapt(
     level, flagged trivially SAT since the input weight is already maximal.
     """
     a0, a1 = abs(psi.alpha0), abs(psi.alpha1)
-    if a0 * a1 > zero_tol:
-        l_star, l_heis = damping_generator(g)
+    if a0 * a1 > _ZERO_AMP_TOL:
+        l_star, _ = damping_generator(g)
         return DampingDynamics(
             generator=l_star,
-            heisenberg=l_heis,
             rates=damping_rates(g),
             gamma=complex(g.gamma),
         )
-    if a1 <= zero_tol:
+    if a1 <= _ZERO_AMP_TOL:
         h_eff, period = effective_hamiltonian(H, shifted_level=0)
         return CoherentDynamics(hamiltonian=h_eff, period=period)
     h_eff, period = effective_hamiltonian(H, shifted_level=1)
@@ -278,6 +271,17 @@ class DynVerdict:
     def __post_init__(self):
         if self.damped and not self.satisfiable:
             raise ValueError("a damped verdict implies satisfiable")
+
+    def summary(self) -> dict:
+        """The report's amplifier verdict block."""
+        return {"satisfiable": self.satisfiable, "damped": self.damped,
+                "tail_mean": self.tail_mean, "fitted_rate": self.fitted_rate}
+
+    def trace_rows(self) -> tuple[str, list[str]]:
+        """CSV header and rows of the sampled probe trajectory."""
+        return "t,p1,coh_abs,coh_phase", [
+            f"{p.t!r},{p.p1!r},{p.coh_abs!r},{p.coh_phase!r}" for p in self.trajectory
+        ]
 
 
 def fit_exponential_rate(ts, ys, floor: float = 1e-280) -> float:

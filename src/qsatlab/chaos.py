@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DensityMatrix2
-
 
 @dataclass(frozen=True)
 class LogisticParams:
@@ -46,6 +44,15 @@ class ChaosVerdict:
         if self.satisfiable != (self.m_hit is not None):
             raise ValueError("verdict inconsistent with hit index")
 
+    def summary(self) -> dict:
+        """The report's amplifier verdict block."""
+        return {"satisfiable": self.satisfiable, "m_hit": self.m_hit,
+                "window": self.window, "lower_bound": self.lower_bound}
+
+    def trace_rows(self) -> tuple[str, list[str]]:
+        """CSV header and rows of the iterates x_0..x_window."""
+        return "m,x_m", [f"{m},{x!r}" for m, x in enumerate(self.trace.xs)]
+
 
 def logistic_step(x: float, params: LogisticParams) -> float:
     if not 0.0 <= x <= 1.0:
@@ -66,17 +73,6 @@ def iterate(x0: float, params: LogisticParams, steps: int) -> ChaosTrace:
 
 def _reject(x0: float) -> float:
     raise ValueError(f"x0={x0} outside [0, 1]")
-
-
-def density_embedding(x: float) -> DensityMatrix2:
-    """diag(1-x, x): the iterate stored as a classical (diagonal) qubit state."""
-    return DensityMatrix2.from_populations(x)
-
-
-def expected_m(x: float) -> float:
-    """Readout of the embedded iterate: Tr(rho * P_excited). Identity on [0, 1]
-    by construction; kept as a guard on the embedding."""
-    return density_embedding(x).p1
 
 
 def detect(q_squared: float, n: int, params: LogisticParams = LogisticParams()) -> ChaosVerdict:

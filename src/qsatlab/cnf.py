@@ -43,11 +43,6 @@ class Literal:
         return f"-{self.var}" if self.negated else str(self.var)
 
 
-def negate(lit: Literal) -> Literal:
-    """Flip polarity. An involution without fixed points."""
-    return Literal(lit.var, not lit.negated)
-
-
 @dataclass(frozen=True)
 class Clause:
     """A finite set of literals; construction removes duplicates."""
@@ -137,9 +132,12 @@ class CountSummary:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF. Comment lines start with 'c'; header is 'p cnf n m';
-    clauses are whitespace-separated nonzero ints terminated by 0.
+    clauses are whitespace-separated nonzero ints terminated by 0, and there
+    must be exactly m of them. A line starting with '%' (the SATLIB end
+    marker) ends the input.
     """
-    n = None
+    n = declared_m = None
+    header_line = 0
     clauses: list[Clause] = []
     current: list[Literal] = []
     clause_open_line = 0
@@ -148,6 +146,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         last_line = lineno
+        if line.startswith("%"):
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
@@ -157,11 +157,12 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsParseError(f"malformed header {line!r}", lineno)
             try:
-                n, _declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsParseError(f"non-integer counts in header {line!r}", lineno) from None
             if n < 0:
                 raise DimacsParseError(f"negative variable count {n}", lineno)
+            header_line = lineno
             continue
         if n is None:
             raise DimacsParseError(f"clause data before 'p cnf' header: {line!r}", lineno)
@@ -184,6 +185,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsParseError("empty input: no 'p cnf' header found", max(last_line, 1))
     if current:
         raise DimacsParseError("clause without terminating 0", clause_open_line)
+    if len(clauses) != declared_m:
+        raise DimacsParseError(f"header declares {declared_m} clauses, found {len(clauses)}", header_line)
     return CnfFormula(n, clauses)
 
 
@@ -197,20 +200,6 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 
 # -- structural operations ----------------------------------------------------
-
-
-def partition_literals(literals: Iterable[Literal]) -> tuple[frozenset[Literal], frozenset[Literal]]:
-    """Split a negation-closed literal set into positive representatives I and
-    their negations I'. Deterministic: I holds the positive-polarity literal of
-    each complementary pair.
-    """
-    lits = frozenset(literals)
-    missing = {l for l in lits if negate(l) not in lits}
-    if missing:
-        sample = sorted(missing)[0]
-        raise ValueError(f"input not closed under negation: {sample} present without {negate(sample)}")
-    pos = frozenset(l for l in lits if not l.negated)
-    return pos, frozenset(negate(l) for l in pos)
 
 
 def is_minimal(clause: Clause) -> bool:

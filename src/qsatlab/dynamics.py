@@ -93,20 +93,6 @@ class DensityMatrix2:
         """The (e0+e1)/sqrt(2) pure state: the default classifier probe."""
         return cls(np.full((2, 2), 0.5, dtype=complex))
 
-    @classmethod
-    def from_populations(cls, excited_weight: float) -> "DensityMatrix2":
-        """diag(1-x, x): the diagonal embedding used by the chaos amplifier."""
-        x = float(excited_weight)
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"population {x} outside [0, 1]")
-        return cls(np.diag([1.0 - x, x]).astype(complex))
-
-    @classmethod
-    def pure(cls, amp0: complex, amp1: complex) -> "DensityMatrix2":
-        v = np.array([amp0, amp1], dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
     @property
     def p1(self) -> float:
         """Excited-level population <e1|rho|e1>."""

@@ -1,9 +1,9 @@
 """End-to-end orchestration: parse, compute q^2, amplify, compare, report.
 
-The statevector path is phrased as the composition of three labeled channel
-stages (preparation, computation, measurement). Oracle mode bypasses the
-simulator entirely and carries q^2 = r/2^n as an exact rational, so q = 0
-versus q = 2^-n stays an exact distinction rather than a thresholded one.
+The statevector path runs preparation, computation and measurement as three
+straight calls. Oracle mode bypasses the simulator entirely and carries
+q^2 = r/2^n as an exact rational, so q = 0 versus q = 2^-n stays an exact
+distinction rather than a thresholded one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from . import adaptive, chaos
 from .cnf import CnfFormula, CountSummary, count_satisfying, parse_dimacs
@@ -21,62 +20,17 @@ from .errors import EnumerationCapError
 from .sat_circuit import (
     build_sat_circuit,
     collapse_to_qubit,
-    post_measure,
     required_ancillas,
     success_probability,
 )
-from .statevector import StateVector, max_qubits, prepare_uniform, run
+from .statevector import max_qubits, prepare_uniform, run
 
 MODES = ("oracle", "statevector")
 AMPLIFIERS = ("chaos", "stochastic", "none")
 FORMATS = ("json", "csv")
 
-_STAGE_ORDER = {"preparation": 0, "computation": 1, "measurement": 2}
-
-
-@dataclass(frozen=True)
-class ChannelStage:
-    label: str
-    transform: Callable
-
-    def __post_init__(self):
-        if self.label not in _STAGE_ORDER:
-            raise ValueError(f"unknown stage label {self.label!r}")
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of the projective readout: the success weight and the surviving
-    branch (None on the UNSAT branch)."""
-
-    probability: float
-    state: StateVector | None
-
-
-def compose_channels(stages: list[ChannelStage], state):
-    """Apply stages in order; labels must respect preparation -> computation
-    -> measurement."""
-    last = -1
-    for stage in stages:
-        rank = _STAGE_ORDER[stage.label]
-        if rank < last:
-            raise ValueError(f"stage {stage.label!r} out of canonical order")
-        last = rank
-        state = stage.transform(state)
-    return state
-
-
-def sat_pipeline_stages(formula: CnfFormula) -> list[ChannelStage]:
-    """The canonical three-stage statevector pipeline for a formula."""
-    circuit, layout = build_sat_circuit(formula)
-    return [
-        ChannelStage("preparation", lambda _ignored: prepare_uniform(layout.n_input, layout.mu)),
-        ChannelStage("computation", lambda s: run(circuit, s)),
-        ChannelStage(
-            "measurement",
-            lambda s: MeasurementOutcome(success_probability(s, layout), post_measure(s, layout)),
-        ),
-    ]
+# self-check simulates only circuits this wide (2^24 amplitudes, 256 MiB).
+_SELF_CHECK_MAX_QUBITS = 24
 
 
 @dataclass(frozen=True)
@@ -119,24 +73,8 @@ class Report:
     agreement: bool | None
     elapsed_s: float
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        if isinstance(self.verdict, chaos.ChaosVerdict):
-            verdict = {
-                "satisfiable": self.verdict.satisfiable,
-                "m_hit": self.verdict.m_hit,
-                "window": self.verdict.window,
-                "lower_bound": self.verdict.lower_bound,
-            }
-        elif isinstance(self.verdict, adaptive.DynVerdict):
-            verdict = {
-                "satisfiable": self.verdict.satisfiable,
-                "damped": self.verdict.damped,
-                "tail_mean": self.verdict.tail_mean,
-                "fitted_rate": self.verdict.fitted_rate,
-            }
-        else:
-            verdict = None
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "input": self.input_path,
             "formula": {"n": self.n, "m": self.m, "mu": self.mu},
             "mode": self.mode,
@@ -145,7 +83,10 @@ class Report:
                 "rational": str(self.q_squared_rational) if self.q_squared_rational is not None else None,
                 "source": self.mode,
             },
-            "amplifier": {"kind": self.amplifier, "verdict": verdict},
+            "amplifier": {
+                "kind": self.amplifier,
+                "verdict": self.verdict.summary() if self.verdict is not None else None,
+            },
             "reference": (
                 {"r": self.reference.r, "total": self.reference.total,
                  "satisfiable": self.reference.r >= 1}
@@ -153,17 +94,21 @@ class Report:
                 else None
             ),
             "agreement": self.agreement,
+            "timing": {"elapsed_s": self.elapsed_s},
         }
-        if include_timing:
-            doc["timing"] = {"elapsed_s": self.elapsed_s}
-        return doc
 
 
 def statevector_q_squared(formula: CnfFormula) -> float:
     """Success probability of the result-qubit readout, from the full
     statevector pipeline."""
-    outcome = compose_channels(sat_pipeline_stages(formula), None)
-    return outcome.probability
+    circuit, layout = build_sat_circuit(formula)
+    prepared = prepare_uniform(layout.n_input, layout.mu)
+    # The run's state is freed before `prepared`: in that order glibc keeps the
+    # prepared block's heap pages for the next call. Freed the other way round
+    # they join a heap top big enough to be trimmed, and the next narrower
+    # circuit page-faults its arrays afresh (about 2,200 faults for an 18-qubit
+    # circuit run after a 20-qubit one).
+    return success_probability(run(circuit, prepared), layout)
 
 
 def _amplifier_verdict(cfg: PipelineConfig, q_squared: float | Fraction, n: int):
@@ -243,38 +188,27 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
 # -- emission -------------------------------------------------------------------
 
 
-def _trace_rows(obj) -> tuple[str, list[str]]:
-    if isinstance(obj, chaos.ChaosVerdict):
-        obj = obj.trace
-    if isinstance(obj, chaos.ChaosTrace):
-        return "m,x_m", [f"{m},{x!r}" for m, x in enumerate(obj.xs)]
-    if isinstance(obj, adaptive.DynVerdict):
-        return "t,p1,coh_abs,coh_phase", [
-            f"{p.t!r},{p.p1!r},{p.coh_abs!r},{p.coh_phase!r}" for p in obj.trajectory
-        ]
-    raise ValueError(f"no CSV trace defined for {type(obj).__name__}")
-
-
-def render(obj, fmt: str) -> str:
-    """Deterministic text form of a report or amplifier trace."""
+def render(report: Report, fmt: str) -> str:
+    """Deterministic text form of a report: the JSON document, or the
+    amplifier trace as CSV."""
+    if not isinstance(report, Report):
+        raise ValueError("emission is defined for reports only")
     if fmt == "json":
-        if not isinstance(obj, Report):
-            raise ValueError("json emission is defined for reports only")
-        return json.dumps(obj.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        target = obj.verdict if isinstance(obj, Report) else obj
-        if target is None:
+        if report.verdict is None:
             raise ValueError("report has no amplifier trace to emit as CSV")
-        header, rows = _trace_rows(target)
+        header, rows = report.verdict.trace_rows()
         return "\n".join([header] + rows) + "\n"
     raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
-def emit(obj, fmt: str, path: str | Path) -> Path:
-    """Write a report (json) or a trace (csv) to disk; bytes are deterministic
-    for fixed inputs (the report's timing field is the one varying key)."""
+def emit(report: Report, fmt: str, path: str | Path) -> Path:
+    """Write a report (json) or its amplifier trace (csv) to disk; bytes are
+    deterministic for fixed inputs (the report's timing field is the one
+    varying key)."""
     out = Path(path)
-    out.write_text(render(obj, fmt))
+    out.write_text(render(report, fmt))
     return out
 
 
@@ -335,14 +269,14 @@ def read_expectation(text: str) -> bool | None:
     return None
 
 
-def self_check(corpus_dir: str | Path, statevector_limit: int = 24) -> CheckSummary:
+def self_check(corpus_dir: str | Path) -> CheckSummary:
     """Run both amplifiers in both modes (statevector where the circuit fits)
     over every .cnf in a directory and compare all verdicts against brute
     force and against any 'c expect' annotation."""
     corpus = sorted(Path(corpus_dir).glob("*.cnf"))
     if not corpus:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
-    sv_cap = min(max_qubits(), statevector_limit)
+    sv_cap = min(max_qubits(), _SELF_CHECK_MAX_QUBITS)
     rows = []
     matrix: dict[tuple[str, str], list[int]] = {}
     for path in corpus:

@@ -27,7 +27,16 @@ _SELF_INVERSE = {"X", "H", "CNOT", "TOFFOLI"}
 def max_qubits() -> int:
     """Simulator qubit cap; the QSAT_MAX_QUBITS env var overrides the default."""
     raw = os.environ.get("QSAT_MAX_QUBITS")
-    return int(raw) if raw else DEFAULT_MAX_QUBITS
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    message = f"QSAT_MAX_QUBITS must be an integer >= 1, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 1:
+        raise ValueError(message)
+    return cap
 
 
 def _check_cap(num_qubits: int) -> None:
@@ -174,13 +183,7 @@ def _axis_view(amps: np.ndarray, num_qubits: int) -> np.ndarray:
 
 def _apply_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
     view = _axis_view(amps, num_qubits)
-    if gate.kind == "X":
-        (t,) = gate.qubits
-        idx0, idx1 = _bit_slices(num_qubits, {t: 0}), _bit_slices(num_qubits, {t: 1})
-        tmp = view[idx0].copy()
-        view[idx0] = view[idx1]
-        view[idx1] = tmp
-    elif gate.kind == "H":
+    if gate.kind == "H":
         (t,) = gate.qubits
         idx0, idx1 = _bit_slices(num_qubits, {t: 0}), _bit_slices(num_qubits, {t: 1})
         a = view[idx0].copy()
@@ -191,17 +194,11 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
     elif gate.kind == "PHASE":
         (t,) = gate.qubits
         view[_bit_slices(num_qubits, {t: 1})] *= np.exp(1j * gate.angle)
-    elif gate.kind == "CNOT":
-        c, t = gate.qubits
-        idx0 = _bit_slices(num_qubits, {c: 1, t: 0})
-        idx1 = _bit_slices(num_qubits, {c: 1, t: 1})
-        tmp = view[idx0].copy()
-        view[idx0] = view[idx1]
-        view[idx1] = tmp
-    else:  # TOFFOLI
-        c1, c2, t = gate.qubits
-        idx0 = _bit_slices(num_qubits, {c1: 1, c2: 1, t: 0})
-        idx1 = _bit_slices(num_qubits, {c1: 1, c2: 1, t: 1})
+    else:  # X, CNOT, TOFFOLI: swap the target's halves where every control is 1
+        *controls, t = gate.qubits
+        fixed = dict.fromkeys(controls, 1)
+        idx0 = _bit_slices(num_qubits, {**fixed, t: 0})
+        idx1 = _bit_slices(num_qubits, {**fixed, t: 1})
         tmp = view[idx0].copy()
         view[idx0] = view[idx1]
         view[idx1] = tmp
@@ -212,15 +209,6 @@ def _bit_slices(num_qubits: int, fixed: dict[int, int]) -> tuple:
     for q, v in fixed.items():
         idx[q] = v
     return tuple(idx)
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a new state; the input is untouched."""
-    if any(q >= state.num_qubits for q in gate.qubits):
-        raise ValueError(f"gate {gate} out of range for {state.num_qubits} qubits")
-    amps = state.amps.copy()
-    _apply_inplace(amps, state.num_qubits, gate)
-    return StateVector(state.num_qubits, amps)
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:

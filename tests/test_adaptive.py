@@ -121,7 +121,7 @@ def test_excited_population_decay_value():
     # d/dt rho_11 = -2 Re(gamma) rho_11 -> e^-2 at t = 1, gamma = 1
     l_star, _ = damping_generator(G_UNIT)
     rho_t = evolve_adaptive(
-        DampingDynamics(l_star, damping_generator(G_UNIT)[1], damping_rates(G_UNIT), 1.0),
+        DampingDynamics(l_star, damping_rates(G_UNIT), 1.0),
         DensityMatrix2.excited(),
         1.0,
     )
@@ -148,7 +148,7 @@ def test_closed_form_matches_generator_path():
     rng = random.Random(2)
     g = Susceptibility(0.7 + 0.4j)
     l_star, _ = damping_generator(g)
-    dyn = DampingDynamics(l_star, damping_generator(g)[1], damping_rates(g), g.gamma)
+    dyn = DampingDynamics(l_star, damping_rates(g), g.gamma)
     for _ in range(5):
         p = rng.uniform(0, 1)
         c = 0.9 * math.sqrt(p * (1 - p))  # keeps the matrix PSD
@@ -275,7 +275,7 @@ def test_trajectory_is_recorded():
 def test_convergence_exponent_depends_on_probe():
     g = Susceptibility(1.0)
     l_star, _ = damping_generator(g)
-    dyn = DampingDynamics(l_star, damping_generator(g)[1], damping_rates(g), 1.0)
+    dyn = DampingDynamics(l_star, damping_rates(g), 1.0)
     ground = DensityMatrix2.ground()
 
     ts = np.linspace(1.0, 6.0, 26)

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from qsatlab.chaos import (
     ChaosVerdict,
     LogisticParams,
-    density_embedding,
     detect,
-    expected_m,
     iterate,
     logistic_step,
     theoretical_lower_bound,
@@ -131,22 +129,3 @@ def test_detect_attaches_lower_bound():
     verdict = detect(2.0**-10, 10)
     assert verdict.lower_bound == pytest.approx(4.758, abs=1e-3)
     assert verdict.m_hit >= 5  # strict integer consequence of the bound
-
-
-def test_density_embedding():
-    rho = density_embedding(0.25)
-    assert np.allclose(rho.matrix, np.diag([0.75, 0.25]))
-    assert density_embedding(0.0).matrix[0, 0] == 1.0
-    assert expected_m(0.0) == 0.0
-
-
-@given(st.floats(0.0, 1.0))
-def test_embedding_readout_is_identity(x):
-    assert expected_m(x) == pytest.approx(x, abs=1e-15)
-    assert np.trace(density_embedding(x).matrix).real == pytest.approx(1.0, abs=1e-15)
-
-
-def test_readout_tracks_the_scalar_iterates():
-    trace = iterate(0.25, A_CHAOTIC, 10)
-    for x in trace.xs:
-        assert expected_m(x) == pytest.approx(x, abs=1e-15)

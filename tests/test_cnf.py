@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,16 +18,10 @@ from qsatlab.cnf import (
     is_minimal,
     is_sat,
     lits,
-    negate,
     parse_dimacs,
-    partition_literals,
     serialize_dimacs,
 )
 from qsatlab.errors import DimacsParseError, EnumerationCapError
-
-
-def literals_st():
-    return st.builds(Literal, st.integers(1, 8), st.booleans())
 
 
 # -- parsing ------------------------------------------------------------------
@@ -72,6 +67,21 @@ def test_parse_missing_terminator():
         parse_dimacs("p cnf 2 1\n1 2\n")
 
 
+def test_parse_stops_at_satlib_end_marker():
+    text = (Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf").read_text()
+    assert text.endswith("%\n0\n")
+    f = parse_dimacs(text)
+    assert f.n == 3
+    assert f.clauses == (lits(1, -2, 3), lits(-1, 2))
+
+
+def test_parse_clause_count_must_match_header():
+    with pytest.raises(DimacsParseError, match=r"line 1.*declares 5 clauses, found 1"):
+        parse_dimacs("p cnf 2 5\n1 2 0\n")
+    with pytest.raises(DimacsParseError, match=r"line 2.*declares 0 clauses, found 1"):
+        parse_dimacs("c comment\np cnf 2 0\n1 0\n")
+
+
 def test_parse_empty_input():
     with pytest.raises(DimacsParseError, match="empty input"):
         parse_dimacs("")
@@ -106,12 +116,6 @@ def test_roundtrip_random(seed):
 # -- literals / clauses --------------------------------------------------------
 
 
-@given(literals_st())
-def test_negate_is_involution_without_fixed_points(lit):
-    assert negate(negate(lit)) == lit
-    assert negate(lit) != lit
-
-
 def test_literal_validation():
     with pytest.raises(ValueError):
         Literal(0)
@@ -121,24 +125,6 @@ def test_clause_set_semantics():
     c = Clause([Literal(1), Literal(1), Literal(2, True)])
     assert len(c) == 2
     assert Clause([Literal(1), Literal(2, True), Literal(1)]) == c
-
-
-def test_partition_literals():
-    closed = {Literal(1), Literal(1, True), Literal(2), Literal(2, True)}
-    pos, neg = partition_literals(closed)
-    assert pos == {Literal(1), Literal(2)}
-    assert neg == {Literal(1, True), Literal(2, True)}
-    assert pos | neg == closed and not pos & neg
-    assert partition_literals(set()) == (frozenset(), frozenset())
-    assert partition_literals({Literal(1), Literal(1, True)}) == (
-        frozenset({Literal(1)}),
-        frozenset({Literal(1, True)}),
-    )
-
-
-def test_partition_rejects_unclosed_input():
-    with pytest.raises(ValueError, match="not closed under negation"):
-        partition_literals({Literal(1), Literal(2), Literal(2, True)})
 
 
 def test_is_minimal():

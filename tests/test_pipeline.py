@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,17 @@ from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serial
 from qsatlab.corpus import write_corpus
 from qsatlab.errors import EnumerationCapError, QubitCapError
 from qsatlab.pipeline import (
-    ChannelStage,
-    MeasurementOutcome,
     PipelineConfig,
-    compose_channels,
     read_expectation,
     render,
     run_pipeline,
-    sat_pipeline_stages,
     self_check,
     statevector_q_squared,
 )
 from qsatlab.sat_circuit import required_ancillas
+
+
+SATLIB_FIXTURE = Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf"
 
 
 def _write(tmp_path: Path, name: str, formula: CnfFormula) -> Path:
@@ -30,40 +30,12 @@ def _write(tmp_path: Path, name: str, formula: CnfFormula) -> Path:
     return path
 
 
-# -- channel composition -----------------------------------------------------------
+# -- statevector readout -------------------------------------------------------------
 
 
-def test_compose_identity_stages():
-    stages = [
-        ChannelStage("preparation", lambda s: s),
-        ChannelStage("computation", lambda s: s),
-        ChannelStage("measurement", lambda s: s),
-    ]
-    assert compose_channels(stages, "payload") == "payload"
-
-
-def test_compose_rejects_out_of_order_stages():
-    stages = [ChannelStage("measurement", lambda s: s), ChannelStage("preparation", lambda s: s)]
-    with pytest.raises(ValueError, match="canonical order"):
-        compose_channels(stages, None)
-
-
-def test_stage_label_must_be_known():
-    with pytest.raises(ValueError, match="unknown stage"):
-        ChannelStage("postselect", lambda s: s)
-
-
-def test_sat_stages_measure_expected_probability():
-    outcome = compose_channels(sat_pipeline_stages(CnfFormula(2, [lits(1, 2)])), None)
-    assert isinstance(outcome, MeasurementOutcome)
-    assert outcome.probability == pytest.approx(0.75, abs=1e-12)
-    assert outcome.state is not None
-
-
-def test_sat_stages_record_null_branch_when_unsat():
-    outcome = compose_channels(sat_pipeline_stages(CnfFormula(1, [lits(1), lits(-1)])), None)
-    assert outcome.probability == 0.0
-    assert outcome.state is None
+def test_statevector_q_squared_reads_the_result_qubit():
+    assert statevector_q_squared(CnfFormula(2, [lits(1, 2)])) == pytest.approx(0.75, abs=1e-12)
+    assert statevector_q_squared(CnfFormula(1, [lits(1), lits(-1)])) == 0.0
 
 
 # -- run_pipeline --------------------------------------------------------------------
@@ -193,6 +165,21 @@ def test_emit_json_report_round_trips(tmp_path):
     assert doc["timing"]["elapsed_s"] == report.elapsed_s
 
 
+def test_verdict_blocks_and_trace_headers(tmp_path):
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    chaos = run_pipeline(PipelineConfig(input_path=str(path), amplifier="chaos"))
+    assert json.loads(render(chaos, "json"))["amplifier"]["verdict"] == {
+        "m_hit": 0, "window": 4, "lower_bound": 1 / math.log2(3.71), "satisfiable": True,
+    }
+    assert render(chaos, "csv").splitlines()[0] == "m,x_m"
+    stochastic = run_pipeline(PipelineConfig(input_path=str(path), amplifier="stochastic"))
+    block = json.loads(render(stochastic, "json"))["amplifier"]["verdict"]
+    assert set(block) == {"damped", "tail_mean", "fitted_rate", "satisfiable"}
+    assert block["damped"] is True and block["satisfiable"] is True
+    assert block["fitted_rate"] == pytest.approx(2.0, rel=1e-6)
+    assert render(stochastic, "csv").splitlines()[0] == "t,p1,coh_abs,coh_phase"
+
+
 def test_render_rejects_invalid_combinations(tmp_path):
     path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
     report = run_pipeline(PipelineConfig(input_path=str(path), amplifier="none"))
@@ -285,6 +272,25 @@ def test_cli_error_codes(tmp_path, capsys):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "parse error" in err
+
+
+def test_cli_rejects_clause_count_mismatch(tmp_path, capsys):
+    short = tmp_path / "short.cnf"
+    short.write_text("p cnf 2 5\n1 2 0\n")
+    assert main(["solve", "--input", str(short)]) == 65
+    assert "declares 5 clauses, found 1" in capsys.readouterr().err
+
+
+def test_cli_solves_satlib_file_with_end_marker(capsys):
+    assert main(["solve", "--input", str(SATLIB_FIXTURE), "--exit-verdict"]) == 10
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_cli_rejects_invalid_qubit_cap(tmp_path, capsys, monkeypatch, raw):
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
+    assert main(["solve", "--input", str(sat), "--mode", "statevector"]) == 64
+    assert "QSAT_MAX_QUBITS must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_cli_self_check(tmp_path, capsys):

@@ -10,7 +10,6 @@ from qsatlab.statevector import (
     Circuit,
     Gate,
     StateVector,
-    apply_gate,
     dft_state,
     dump_state,
     load_state,
@@ -110,37 +109,41 @@ def test_dft_range_check():
 # -- gate semantics ---------------------------------------------------------------
 
 
+def apply_one(state: StateVector, gate: Gate) -> StateVector:
+    return run(Circuit(state.num_qubits, [gate]), state)
+
+
 def test_x_flips_basis_state():
     sv = StateVector.computational_basis(1, 0)
-    assert np.allclose(apply_gate(sv, Gate.x(0)).amps, [0, 1])
+    assert np.allclose(apply_one(sv, Gate.x(0)).amps, [0, 1])
 
 
 def test_qubit_zero_is_most_significant():
     sv = StateVector.computational_basis(2, 0)
-    flipped = apply_gate(sv, Gate.x(0))
+    flipped = apply_one(sv, Gate.x(0))
     assert np.argmax(np.abs(flipped.amps)) == 2  # |10>
-    flipped = apply_gate(sv, Gate.x(1))
+    flipped = apply_one(sv, Gate.x(1))
     assert np.argmax(np.abs(flipped.amps)) == 1  # |01>
 
 
 def test_hadamard_squares_to_identity():
     rng = random.Random(7)
     sv = random_state(rng, 3)
-    out = apply_gate(apply_gate(sv, Gate.h(1)), Gate.h(1))
+    out = apply_one(apply_one(sv, Gate.h(1)), Gate.h(1))
     assert np.allclose(out.amps, sv.amps, atol=1e-12)
 
 
 def test_cnot_and_toffoli():
     sv = StateVector.computational_basis(2, 0b10)
-    assert np.argmax(np.abs(apply_gate(sv, Gate.cnot(0, 1)).amps)) == 0b11
+    assert np.argmax(np.abs(apply_one(sv, Gate.cnot(0, 1)).amps)) == 0b11
     sv = StateVector.computational_basis(3, 0b110)
-    assert np.argmax(np.abs(apply_gate(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b111
+    assert np.argmax(np.abs(apply_one(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b111
     sv = StateVector.computational_basis(3, 0b100)
-    assert np.argmax(np.abs(apply_gate(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b100
+    assert np.argmax(np.abs(apply_one(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b100
 
 
 def test_phase_gate_action():
-    sv = apply_gate(prepare_uniform(1, 0), Gate.phase(0, math.pi / 2))
+    sv = apply_one(prepare_uniform(1, 0), Gate.phase(0, math.pi / 2))
     assert np.allclose(sv.amps, [1 / math.sqrt(2), 1j / math.sqrt(2)], atol=1e-12)
 
 
@@ -154,7 +157,7 @@ def test_gate_validation():
     with pytest.raises(ValueError, match="angle"):
         Gate("PHASE", (0,))
     with pytest.raises(ValueError, match="out of range"):
-        apply_gate(StateVector.computational_basis(2, 0), Gate.x(2))
+        Circuit(2, [Gate.x(2)])
 
 
 def test_unitarity_of_random_circuits():
