@@ -12,6 +12,7 @@ import sys
 
 from .errors import DimacsParseError, EnumerationCapError, QubitCapError
 from .pipeline import AMPLIFIERS, FORMATS, MODES, PipelineConfig, run_pipeline, self_check
+from .statevector import max_qubits
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -68,10 +69,9 @@ def _run_solve(args) -> int:
         format=args.format,
     )
     report = run_pipeline(cfg)
-    q = report.q_squared_rational
     print(f"input      : {report.input_path}")
     print(f"formula    : n={report.n} m={report.m} mu={report.mu}")
-    print(f"q_squared  : {report.q_squared_float!r}" + (f" (= {q})" if q is not None else ""))
+    print(f"q_squared  : {report.q_squared_float!r} (= {report.q_squared_rational})")
     if report.amplifier_satisfiable is None:
         print("amplifier  : none")
     else:
@@ -96,6 +96,7 @@ def _run_self_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        max_qubits()  # a bad QSAT_MAX_QUBITS is a usage error in every command
         if args.command == "solve":
             return _run_solve(args)
         return _run_self_check(args)

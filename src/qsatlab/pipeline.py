@@ -1,9 +1,9 @@
 """End-to-end orchestration: parse, compute q^2, amplify, compare, report.
 
-The statevector path runs preparation, computation and measurement as three
-straight calls. Oracle mode bypasses the simulator entirely and carries
-q^2 = r/2^n as an exact rational, so q = 0 versus q = 2^-n stays an exact
-distinction rather than a thresholded one.
+Both modes carry q^2 = r/2^n as an exact rational, so q = 0 versus q = 2^-n
+stays an exact distinction rather than a thresholded one. Oracle mode takes r
+from the brute-force count; statevector mode builds the reversible circuit and
+evaluates it as a permutation of the basis inputs.
 """
 
 from __future__ import annotations
@@ -17,20 +17,12 @@ from pathlib import Path
 from . import adaptive, chaos
 from .cnf import CnfFormula, CountSummary, count_satisfying, parse_dimacs
 from .errors import EnumerationCapError
-from .sat_circuit import (
-    build_sat_circuit,
-    collapse_to_qubit,
-    required_ancillas,
-    success_probability,
-)
-from .statevector import max_qubits, prepare_uniform, run
+from .sat_circuit import build_sat_circuit, collapse_to_qubit, count_result_ones, required_ancillas
+from .statevector import max_qubits
 
 MODES = ("oracle", "statevector")
 AMPLIFIERS = ("chaos", "stochastic", "none")
 FORMATS = ("json", "csv")
-
-# self-check simulates only circuits this wide (2^24 amplitudes, 256 MiB).
-_SELF_CHECK_MAX_QUBITS = 24
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class Report:
     mode: str
     amplifier: str
     q_squared_float: float
-    q_squared_rational: Fraction | None
+    q_squared_rational: Fraction
     verdict: "chaos.ChaosVerdict | adaptive.DynVerdict | None"
     amplifier_satisfiable: bool | None
     reference: CountSummary | None
@@ -80,7 +72,7 @@ class Report:
             "mode": self.mode,
             "q_squared": {
                 "float": self.q_squared_float,
-                "rational": str(self.q_squared_rational) if self.q_squared_rational is not None else None,
+                "rational": str(self.q_squared_rational),
                 "source": self.mode,
             },
             "amplifier": {
@@ -98,20 +90,14 @@ class Report:
         }
 
 
-def statevector_q_squared(formula: CnfFormula) -> float:
-    """Success probability of the result-qubit readout, from the full
-    statevector pipeline."""
+def statevector_q_squared(formula: CnfFormula) -> Fraction:
+    """Weight on result = 1 after the formula circuit acts on the uniform
+    superposition; exact, since the circuit permutes basis states."""
     circuit, layout = build_sat_circuit(formula)
-    prepared = prepare_uniform(layout.n_input, layout.mu)
-    # The run's state is freed before `prepared`: in that order glibc keeps the
-    # prepared block's heap pages for the next call. Freed the other way round
-    # they join a heap top big enough to be trimmed, and the next narrower
-    # circuit page-faults its arrays afresh (about 2,200 faults for an 18-qubit
-    # circuit run after a 20-qubit one).
-    return success_probability(run(circuit, prepared), layout)
+    return Fraction(count_result_ones(circuit, layout), 1 << formula.n)
 
 
-def _amplifier_verdict(cfg: PipelineConfig, q_squared: float | Fraction, n: int):
+def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
     """Run the selected amplifier; returns (verdict object, satisfiable or None)."""
     if cfg.amplifier == "chaos":
         verdict = chaos.detect(float(q_squared), max(n, 1), chaos.LogisticParams(cfg.a))
@@ -152,15 +138,12 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
                 f"oracle mode needs enumeration but n={formula.n} exceeds the cap; "
                 "use statevector mode only if the circuit fits, or shrink the instance"
             )
-        q_exact: Fraction | None = reference.q_squared
-        q_float = float(reference.q_squared)
-        amp_input: float | Fraction = reference.q_squared
+        q_exact = reference.q_squared
     else:
-        q_float = statevector_q_squared(formula)
-        q_exact = reference.q_squared if reference is not None else None
-        amp_input = q_float
+        q_exact = statevector_q_squared(formula)
+    q_float = float(q_exact)
 
-    verdict, amp_sat = _amplifier_verdict(cfg, amp_input, formula.n)
+    verdict, amp_sat = _amplifier_verdict(cfg, q_exact, formula.n)
     agreement = None
     if amp_sat is not None and reference is not None:
         agreement = amp_sat == (reference.r >= 1)
@@ -276,7 +259,6 @@ def self_check(corpus_dir: str | Path) -> CheckSummary:
     corpus = sorted(Path(corpus_dir).glob("*.cnf"))
     if not corpus:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
-    sv_cap = min(max_qubits(), _SELF_CHECK_MAX_QUBITS)
     rows = []
     matrix: dict[tuple[str, str], list[int]] = {}
     for path in corpus:
@@ -292,8 +274,8 @@ def self_check(corpus_dir: str | Path) -> CheckSummary:
                 f"expectation says {'SAT' if expected else 'UNSAT'} but brute force "
                 f"counts r={reference.r}"
             )
-        q2_by_mode: dict[str, float | Fraction] = {"oracle": reference.q_squared}
-        if formula.n + mu <= sv_cap:
+        q2_by_mode = {"oracle": reference.q_squared}
+        if formula.n + mu <= max_qubits():
             q2_by_mode["statevector"] = statevector_q_squared(formula)
         verdicts: dict[tuple[str, str], bool] = {}
         for amp in ("chaos", "stochastic"):

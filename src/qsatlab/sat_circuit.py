@@ -12,6 +12,10 @@ outputs are folded into the result through a second Toffoli chain. Clauses
 holding a complementary pair are satisfied identically and are skipped; an
 empty clause makes the formula constant 0 and the build degenerates to an
 idle circuit.
+
+Since the gate set only permutes basis states, count_result_ones reads the
+exact satisfying count off the circuit itself, bit-sliced: one boolean column
+per qubit over a block of inputs, no dense state.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, is_minimal
+from .cnf import _ENUM_BLOCK, Clause, CnfFormula, is_minimal
 from .errors import QubitCapError
 from .statevector import Circuit, Gate, StateVector, max_qubits
 
@@ -170,6 +174,31 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
         for gate in reversed(compute):  # X/CNOT/Toffoli are self-inverse
             circuit.append(gate)
     return circuit, layout
+
+
+def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
+    """Number of inputs eps whose result qubit reads 1 after the circuit acts
+    on |eps, 0...0>; 2^n * q^2 exactly. Only X/CNOT/Toffoli are accepted,
+    since H and PHASE do not map basis states to basis states."""
+    n = layout.n_input
+    total = 1 << n
+    count = 0
+    for lo in range(0, total, _ENUM_BLOCK):
+        ks = np.arange(lo, min(lo + _ENUM_BLOCK, total), dtype=np.int64)
+        cols = [((ks >> (n - 1 - q)) & 1).astype(bool) for q in range(n)]
+        cols += [np.zeros(ks.size, dtype=bool) for _ in range(n, circuit.num_qubits)]
+        for gate in circuit.gates:
+            *controls, t = gate.qubits
+            if gate.kind == "X":
+                np.logical_not(cols[t], out=cols[t])
+            elif gate.kind == "CNOT":
+                cols[t] ^= cols[controls[0]]
+            elif gate.kind == "TOFFOLI":
+                cols[t] ^= cols[controls[0]] & cols[controls[1]]
+            else:
+                raise ValueError(f"{gate.kind} is not a basis permutation")
+        count += int(np.count_nonzero(cols[layout.result_qubit]))
+    return count
 
 
 def _result_bit_view(state: StateVector, layout: CircuitLayout) -> np.ndarray:

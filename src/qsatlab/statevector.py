@@ -200,7 +200,9 @@ def _apply_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
         idx0 = _bit_slices(num_qubits, {**fixed, t: 0})
         idx1 = _bit_slices(num_qubits, {**fixed, t: 1})
         tmp = view[idx0].copy()
-        view[idx0] = view[idx1]
+        # A ufunc sees the interleaved halves are disjoint; plain assignment
+        # would buffer the source through a hidden whole-state temporary.
+        np.positive(view[idx1], out=view[idx0])
         view[idx1] = tmp
 
 
@@ -208,7 +210,7 @@ def _bit_slices(num_qubits: int, fixed: dict[int, int]) -> tuple:
     idx: list = [slice(None)] * num_qubits
     for q, v in fixed.items():
         idx[q] = v
-    return tuple(idx)
+    return (*idx, ...)  # the Ellipsis keeps a fully fixed index a view, not a scalar
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:

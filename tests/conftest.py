@@ -3,7 +3,9 @@
 The oracle here deliberately avoids the package's vectorized enumeration and
 the circuit path: assignments come from itertools.product and clauses are
 evaluated with any()/all() directly, so expected values asserted in the tests
-are computed along a route the code under test never touches.
+are computed along a route the code under test never touches. dense_q_squared
+is the one circuit-path helper: the dense simulator's reading of q^2, kept as
+the cross-check for the permutation evaluation that statevector mode uses.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import settings
 
 from qsatlab.cnf import Assignment, Clause, CnfFormula, Literal
+from qsatlab.sat_circuit import build_sat_circuit, success_probability
+from qsatlab.statevector import prepare_uniform, run
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -39,6 +43,13 @@ def brute_count(formula: CnfFormula) -> int:
         for bits in itertools.product((0, 1), repeat=formula.n)
         if brute_eval(formula, bits)
     )
+
+
+def dense_q_squared(formula: CnfFormula) -> float:
+    """q^2 read off the dense simulation of the formula circuit on the
+    uniform superposition."""
+    circuit, layout = build_sat_circuit(formula)
+    return success_probability(run(circuit, prepare_uniform(formula.n, layout.mu)), layout)
 
 
 def random_test_formula(rng: random.Random, max_n: int = 6, max_m: int = 8,

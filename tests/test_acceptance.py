@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_test_formula
+from conftest import dense_q_squared, random_test_formula
 from qsatlab.adaptive import (
     ClassifierConfig,
     InputAmplitudes,
@@ -57,12 +57,13 @@ def test_criterion_1_probability_identity_on_random_formulas():
         if formula.n + required_ancillas(formula) > 16:
             continue
         exact = float(count_satisfying(formula).q_squared)
-        worst = max(worst, abs(statevector_q_squared(formula) - exact))
+        for q_squared in (dense_q_squared(formula), statevector_q_squared(formula)):
+            worst = max(worst, abs(q_squared - exact))
         checked += 1
     elapsed = time.perf_counter() - started
     _verdict(
         1,
-        "statevector success probability equals r/2^n within 1e-10 on 200 random formulas",
+        "dense and permutation success probabilities equal r/2^n within 1e-10 on 200 random formulas",
         worst < 1e-10 and elapsed < 60.0,
         f"worst |diff|={worst:.2e}, {elapsed:.1f}s",
     )
@@ -73,12 +74,12 @@ def test_criterion_2_projection_nonzero_iff_satisfiable(corpus_dir):
     big_enough = len(formulas) >= 40
     exact_iff = True
     for formula in formulas:
-        projection = statevector_q_squared(formula)
         satisfiable = count_satisfying(formula).r >= 1
-        if satisfiable:
-            exact_iff &= projection > 0.0
-        else:
-            exact_iff &= projection == 0.0  # exact: the gate set only permutes
+        for projection in (dense_q_squared(formula), statevector_q_squared(formula)):
+            if satisfiable:
+                exact_iff &= projection > 0.0
+            else:
+                exact_iff &= projection == 0.0  # exact: the gate set only permutes
     _verdict(
         2,
         "result-qubit projection is nonzero exactly when brute force finds a model",

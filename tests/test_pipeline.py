@@ -18,7 +18,6 @@ from qsatlab.pipeline import (
     self_check,
     statevector_q_squared,
 )
-from qsatlab.sat_circuit import required_ancillas
 
 
 SATLIB_FIXTURE = Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf"
@@ -76,15 +75,11 @@ def test_amplifier_none_reports_probability_only(tmp_path):
 
 
 def test_statevector_mode_matches_oracle_mode(corpus_dir):
-    checked = 0
-    for path in sorted(corpus_dir.glob("*.cnf")):
+    paths = sorted(corpus_dir.glob("*.cnf"))
+    for path in paths:
         formula = parse_dimacs(path.read_text())
-        if formula.n > 8 or formula.n + required_ancillas(formula) > 20:
-            continue
-        exact = count_satisfying(formula).q_squared
-        assert abs(statevector_q_squared(formula) - float(exact)) < 1e-10
-        checked += 1
-    assert checked >= 30
+        assert statevector_q_squared(formula) == count_satisfying(formula).q_squared, path.name
+    assert len(paths) == 44
 
 
 def test_oracle_mode_requires_enumerable_instance(tmp_path):
@@ -285,11 +280,16 @@ def test_cli_solves_satlib_file_with_end_marker(capsys):
     assert main(["solve", "--input", str(SATLIB_FIXTURE), "--exit-verdict"]) == 10
 
 
+@pytest.mark.parametrize("command", ["oracle", "statevector", "self-check"])
 @pytest.mark.parametrize("raw", ["abc", "0"])
-def test_cli_rejects_invalid_qubit_cap(tmp_path, capsys, monkeypatch, raw):
+def test_cli_rejects_invalid_qubit_cap(tmp_path, capsys, monkeypatch, raw, command):
     sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
     monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
-    assert main(["solve", "--input", str(sat), "--mode", "statevector"]) == 64
+    if command == "self-check":
+        argv = ["self-check", "--corpus", str(tmp_path)]
+    else:
+        argv = ["solve", "--input", str(sat), "--mode", command]
+    assert main(argv) == 64
     assert "QSAT_MAX_QUBITS must be an integer >= 1" in capsys.readouterr().err
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import all_assignments, brute_count, brute_eval, random_test_formula
 from qsatlab.cnf import Clause, CnfFormula, count_satisfying, eval_formula, lits
@@ -11,11 +12,12 @@ from qsatlab.errors import QubitCapError
 from qsatlab.sat_circuit import (
     build_sat_circuit,
     collapse_to_qubit,
+    count_result_ones,
     post_measure,
     required_ancillas,
     success_probability,
 )
-from qsatlab.statevector import StateVector, prepare_uniform, run
+from qsatlab.statevector import Circuit, Gate, StateVector, prepare_uniform, run
 
 EDGE_FORMULAS = [
     CnfFormula(2, [lits(1, 2)]),
@@ -133,6 +135,31 @@ def test_probability_identity_random_corpus():
         expected = count_satisfying(formula).q_squared
         assert abs(success_probability(out, layout) - float(expected)) < 1e-10
         done += 1
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_count_result_ones_matches_dense_and_brute_force(seed):
+    formula = random_test_formula(random.Random(seed), max_n=6, max_m=10, allow_empty_clause=True)
+    assume(formula.n + required_ancillas(formula) <= 16)
+    circuit, layout = build_sat_circuit(formula)
+    count = count_result_ones(circuit, layout)
+    assert count == brute_count(formula)
+    dense = success_probability(run(circuit, prepare_uniform(formula.n, layout.mu)), layout)
+    assert abs(dense - count / 2**formula.n) < 1e-10
+
+
+def test_count_result_ones_across_blocks(monkeypatch):
+    monkeypatch.setattr("qsatlab.sat_circuit._ENUM_BLOCK", 8)
+    formula = CnfFormula(6, [lits(1, -2, 3), lits(-1, 4), lits(2, 5, -6), lits(-3, -5)])
+    circuit, layout = build_sat_circuit(formula)
+    assert count_result_ones(circuit, layout) == brute_count(formula)
+
+
+def test_count_result_ones_rejects_non_permutation_gates():
+    _, layout = build_sat_circuit(CnfFormula(2, [lits(1, 2)]))
+    circuit = Circuit(layout.num_qubits, [Gate.h(0)])
+    with pytest.raises(ValueError, match="H is not a basis permutation"):
+        count_result_ones(circuit, layout)
 
 
 def test_input_marginal_stays_uniform():

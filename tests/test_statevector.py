@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qsatlab.statevector import (
     Circuit,
     Gate,
     StateVector,
+    _apply_inplace,
     dft_state,
     dump_state,
     load_state,
@@ -140,6 +142,23 @@ def test_cnot_and_toffoli():
     assert np.argmax(np.abs(apply_one(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b111
     sv = StateVector.computational_basis(3, 0b100)
     assert np.argmax(np.abs(apply_one(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b100
+
+
+def test_swap_gate_temporary_is_half_a_state():
+    # The last qubit interleaves the halves finest. Middle qubits also take
+    # numpy's fixed 256 KiB iterator buffer, a quarter of this state's size.
+    n, q = 16, 15
+    rng = np.random.default_rng(16)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    expected = np.flip(amps.reshape([2] * n), axis=q).reshape(-1)
+    tracemalloc.start()
+    try:
+        _apply_inplace(amps, n, Gate.x(q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * amps.nbytes
+    assert np.array_equal(amps, expected)
 
 
 def test_phase_gate_action():
