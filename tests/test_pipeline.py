@@ -280,9 +280,17 @@ def test_cli_solves_satlib_file_with_end_marker(capsys):
     assert main(["solve", "--input", str(SATLIB_FIXTURE), "--exit-verdict"]) == 10
 
 
-@pytest.mark.parametrize("command", ["oracle", "statevector", "self-check"])
 @pytest.mark.parametrize("raw", ["abc", "0"])
-def test_cli_rejects_invalid_qubit_cap(tmp_path, capsys, monkeypatch, raw, command):
+def test_cli_rejects_invalid_qubit_cap(tmp_path, capsys, monkeypatch, raw):
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
+    assert main(["solve", "--input", str(sat), "--mode", "statevector"]) == 64
+    assert "QSAT_MAX_QUBITS must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "self-check"])
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_cli_rejects_invalid_qubit_cap_in_every_command(tmp_path, capsys, monkeypatch, raw, command):
     sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
     monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
     if command == "self-check":
