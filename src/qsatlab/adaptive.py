@@ -32,13 +32,11 @@ from .dynamics import (
     LOWERING,
     PROJ_EXCITED,
     Superoperator,
-    evolve,
     left_mult,
+    propagate,
     right_mult,
     sandwich,
 )
-
-_ZERO_AMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class TwoLevelHamiltonian:
     """Diagonal system Hamiltonian with level splitting E1 - E0 > 0.
 
     Integer energies (the default) make the coherent branch exactly periodic;
-    effective_hamiltonian enforces that in strict mode."""
+    effective_hamiltonian rejects any other."""
 
     E0: float = 0
     E1: float = 2
@@ -99,13 +97,14 @@ class DampingDynamics:
 
     generator: Superoperator
     rates: DampingRates
-    gamma: complex
 
 
 @dataclass(frozen=True)
 class CoherentDynamics:
-    """Unitary branch: shifted diagonal Hamiltonian, periodic or stationary."""
+    """Unitary branch: von Neumann generator -i[H, .] of the shifted diagonal
+    Hamiltonian H, periodic or stationary."""
 
+    generator: Superoperator
     hamiltonian: np.ndarray
     period: float | None
     trivially_sat: bool = False
@@ -156,9 +155,7 @@ def damping_generator(g: Susceptibility, raw: bool = False) -> tuple[Superoperat
     )
 
 
-def effective_hamiltonian(
-    H: TwoLevelHamiltonian, shifted_level: int = 0, strict: bool = True
-) -> tuple[np.ndarray, float | None]:
+def effective_hamiltonian(H: TwoLevelHamiltonian, shifted_level: int = 0) -> tuple[np.ndarray, float | None]:
     """Shifted Hamiltonian of the coherent branch and the evolution period.
 
     The diagonal coupling adds one unit to the level the summary state sits in.
@@ -167,16 +164,11 @@ def effective_hamiltonian(
     """
     e0, e1 = H.E0, H.E1
     if e0 != int(e0) or e1 != int(e1):
-        msg = f"non-integer energies (E0={e0}, E1={e1}) give an aperiodic evolution"
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
-    if shifted_level == 0:
-        h_eff = np.diag([e0 + 1.0, float(e1)]).astype(complex)
-    elif shifted_level == 1:
-        h_eff = np.diag([float(e0), e1 + 1.0]).astype(complex)
-    else:
+        raise ValueError(f"non-integer energies (E0={e0}, E1={e1}) give an aperiodic evolution")
+    if shifted_level not in (0, 1):
         raise ValueError(f"shifted_level must be 0 or 1, got {shifted_level}")
+    h_eff = np.diag([float(e0), float(e1)]).astype(complex)
+    h_eff[shifted_level, shifted_level] += 1.0
     delta = (h_eff[1, 1] - h_eff[0, 0]).real
     if delta == 0:
         warnings.warn(
@@ -195,32 +187,15 @@ def adapt(psi: InputAmplitudes, H: TwoLevelHamiltonian, g: Susceptibility) -> Ad
     on the amplitude values at all. alpha1 = 0: coherent branch (the UNSAT
     signature). alpha0 = 0: coherent branch with the shift on the excited
     level, flagged trivially SAT since the input weight is already maximal.
+    The tests are exact: collapse_to_qubit gives 0.0 at q^2 = 0 and 1 exactly.
     """
-    a0, a1 = abs(psi.alpha0), abs(psi.alpha1)
-    if a0 * a1 > _ZERO_AMP_TOL:
+    if psi.alpha0 != 0 and psi.alpha1 != 0:
         l_star, _ = damping_generator(g)
-        return DampingDynamics(
-            generator=l_star,
-            rates=damping_rates(g),
-            gamma=complex(g.gamma),
-        )
-    if a1 <= _ZERO_AMP_TOL:
-        h_eff, period = effective_hamiltonian(H, shifted_level=0)
-        return CoherentDynamics(hamiltonian=h_eff, period=period)
-    h_eff, period = effective_hamiltonian(H, shifted_level=1)
-    return CoherentDynamics(hamiltonian=h_eff, period=period, trivially_sat=True)
-
-
-def evolve_adaptive(dyn: AdaptiveDynamics, rho0: DensityMatrix2, t: float) -> DensityMatrix2:
-    """Propagate the probe: master equation for the damping branch, exact
-    diagonal-unitary conjugation for the coherent one."""
-    if isinstance(dyn, DampingDynamics):
-        return evolve(dyn.generator, rho0, t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    phases = np.exp(-1j * np.diag(dyn.hamiltonian) * t)
-    u = np.diag(phases)
-    return DensityMatrix2(u @ rho0.matrix @ u.conj().T)
+        return DampingDynamics(generator=l_star, rates=damping_rates(g))
+    shifted_level = 0 if psi.alpha1 == 0 else 1
+    h_eff, period = effective_hamiltonian(H, shifted_level)
+    generator = Superoperator(-1j * (left_mult(h_eff) - right_mult(h_eff)), label="von Neumann generator")
+    return CoherentDynamics(generator, h_eff, period, trivially_sat=shifted_level == 1)
 
 
 def damping_closed_form(g: Susceptibility, rho0: DensityMatrix2, t: float) -> DensityMatrix2:
@@ -230,14 +205,6 @@ def damping_closed_form(g: Susceptibility, rho0: DensityMatrix2, t: float) -> De
     p1 = rho0.p1 * math.exp(-2.0 * gamma.real * t)
     coh = rho0.coherence * cmath.exp((1j * gamma.imag - gamma.real) * t)
     return DensityMatrix2(np.array([[1.0 - p1, coh], [coh.conjugate(), p1]], dtype=complex))
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    p1: float
-    coh_abs: float
-    coh_phase: float
 
 
 @dataclass(frozen=True)
@@ -260,13 +227,13 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class DynVerdict:
-    """Classifier outcome plus the sampled evidence."""
+    """Classifier outcome plus the sampled evidence: (T, 4) columns t, p1, coh_abs, coh_phase."""
 
     damped: bool
     satisfiable: bool
     tail_mean: float
     fitted_rate: float | None
-    trajectory: tuple[TrajectoryPoint, ...]
+    trajectory: np.ndarray
 
     def __post_init__(self):
         if self.damped and not self.satisfiable:
@@ -279,9 +246,7 @@ class DynVerdict:
 
     def trace_rows(self) -> tuple[str, list[str]]:
         """CSV header and rows of the sampled probe trajectory."""
-        return "t,p1,coh_abs,coh_phase", [
-            f"{p.t!r},{p.p1!r},{p.coh_abs!r},{p.coh_phase!r}" for p in self.trajectory
-        ]
+        return "t,p1,coh_abs,coh_phase", [",".join(map(repr, row)) for row in self.trajectory.tolist()]
 
 
 def fit_exponential_rate(ts, ys, floor: float = 1e-280) -> float:
@@ -306,16 +271,10 @@ def classify(dyn: AdaptiveDynamics, cfg: ClassifierConfig = ClassifierConfig()) 
             "(p1 >= 0.25 and |rho01| >= 0.25); use DensityMatrix2.plus()"
         )
     ts = np.arange(0.0, cfg.horizon + cfg.dt / 2, cfg.dt)
-    points = []
-    for t in ts:
-        rho = evolve_adaptive(dyn, probe, float(t))
-        coh = rho.coherence
-        points.append(
-            TrajectoryPoint(
-                t=float(t), p1=rho.p1, coh_abs=abs(coh), coh_phase=cmath.phase(coh)
-            )
-        )
-    p1s = np.array([p.p1 for p in points])
+    states = propagate(dyn.generator, probe, ts)
+    p1s, coh = states[:, 1, 1].real, states[:, 0, 1]
+    trajectory = np.column_stack([ts, p1s, np.abs(coh), np.angle(coh)])
+    trajectory.setflags(write=False)
     tail = ts >= cfg.horizon / 2
     tail_mean = float(p1s[tail].mean())
     damped = bool(tail_mean < cfg.threshold * float(p1s[0]))
@@ -326,5 +285,5 @@ def classify(dyn: AdaptiveDynamics, cfg: ClassifierConfig = ClassifierConfig()) 
         satisfiable=damped or trivially_sat,
         tail_mean=tail_mean,
         fitted_rate=fitted,
-        trajectory=tuple(points),
+        trajectory=trajectory,
     )

@@ -109,7 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationCapError, QubitCapError, ValueError) as exc:
         print(f"qsatlab: {exc}", file=sys.stderr)
         return EX_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except MemoryError as exc:
+        print(f"qsatlab: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EX_SOFTWARE
+    except Exception as exc:  # InvariantError and any other program fault
         print(f"qsatlab: internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -2,9 +2,10 @@
 
 Superoperators are 4x4 matrices acting on column-stacked 2x2 matrices:
 vec([[a, b], [c, d]]) = (a, c, b, d). All builders below go through vec/unvec
-so the stacking convention cannot drift. Evolution re-projects results onto
-the physical set (hermitian, trace one, PSD up to tolerance); eigenvalues
-below -1e-10 are treated as genuine bugs, not noise, and raise.
+so the stacking convention cannot drift. `evolve` re-projects a state onto the
+physical set (hermitian, trace one, PSD up to tolerance); `propagate` checks a
+whole trajectory against it. Eigenvalues below -1e-10 are treated as genuine
+bugs, not noise, and raise InvariantError.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+
+from .errors import InvariantError
 
 Mat2 = np.ndarray  # 2x2 complex
 
@@ -61,6 +64,20 @@ def anticommutator(a: Mat2, b: Mat2) -> Mat2:
     return a @ b + b @ a
 
 
+def _unphysical(m: np.ndarray) -> str | None:
+    """Why a 2x2 matrix, or any in a stack of them, is not a density matrix."""
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    if not np.max(np.abs(m - adjoint)) <= _HERM_TOL:  # also catches NaN and inf entries
+        return "matrix is not finite and hermitian within 1e-12"
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    trace_err = np.maximum(np.abs(traces.real - 1.0), np.abs(traces.imag))
+    if np.max(trace_err) > _TRACE_TOL:
+        return f"trace {complex(traces.flat[np.argmax(trace_err)])} deviates from 1 beyond 1e-12"
+    if (floor := np.linalg.eigvalsh((m + adjoint) / 2).min()) < _PSD_FLOOR:
+        return f"matrix has eigenvalue {floor:.3e} below -1e-10"
+    return None
+
+
 @dataclass(frozen=True)
 class DensityMatrix2:
     """A 2x2 density matrix: hermitian, unit trace, positive semidefinite."""
@@ -71,12 +88,9 @@ class DensityMatrix2:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("matrix is not hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond 1e-12")
-        if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < _PSD_FLOOR:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
+        problem = _unphysical(m)
+        if problem:
+            raise ValueError(problem)
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
 
@@ -162,6 +176,26 @@ def evolve(sup: Superoperator, rho: DensityMatrix2, t: float) -> DensityMatrix2:
     return _project_physical(out)
 
 
+def propagate(sup: Superoperator, rho: DensityMatrix2, ts) -> np.ndarray:
+    """States exp(tL) rho at every time in ts, as a (T, 2, 2) array, from the
+    generator's one eigendecomposition. Nothing is re-projected: every state
+    must meet DensityMatrix2's tolerances or InvariantError is raised."""
+    if not sup.is_trace_preserving():
+        raise ValueError(f"generator {sup.label or repr(sup.matrix)} is not trace-preserving")
+    ts = np.asarray(ts, dtype=float)
+    if not (ts.ndim == 1 and ts.size and np.all(np.isfinite(ts) & (ts >= 0))):
+        raise ValueError("times must be a nonempty 1-d array of finite nonnegative values")
+    if sup._eig is None:
+        raise ValueError(f"generator {sup.label or repr(sup.matrix)} is too ill-conditioned to diagonalise")
+    w, v, v_inv = sup._eig
+    rows = (np.exp(np.outer(ts, w)) * (v_inv @ vec(rho.matrix))) @ v.T
+    states = rows.reshape(-1, 2, 2).transpose(0, 2, 1)  # unvec each row
+    problem = _unphysical(states)
+    if problem:
+        raise InvariantError(f"propagated state: {problem}")
+    return states
+
+
 def heisenberg_evolve(sup: Superoperator, observable: Mat2, t: float) -> Mat2:
     """Propagate an observable under the dual generator; no normalization."""
     return unvec(expm_superop(sup, t).matrix @ vec(observable))
@@ -171,7 +205,7 @@ def _project_physical(m: Mat2) -> DensityMatrix2:
     herm = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(herm)
     if w.min() < _PSD_FLOOR:
-        raise ValueError(f"evolution produced eigenvalue {w.min():.3e} below -1e-10")
+        raise InvariantError(f"evolution produced eigenvalue {w.min():.3e} below -1e-10")
     w = np.clip(w, 0.0, None)
     herm = (v * w) @ v.conj().T
     herm /= np.trace(herm).real

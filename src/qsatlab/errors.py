@@ -17,3 +17,7 @@ class EnumerationCapError(ValueError):
 
 class QubitCapError(ValueError):
     """Raised when a statevector would exceed the simulator qubit cap."""
+
+
+class InvariantError(RuntimeError):
+    """Raised when an internal invariant breaks: a program fault, not bad input."""

@@ -103,9 +103,8 @@ def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
         verdict = chaos.detect(float(q_squared), max(n, 1), chaos.LogisticParams(cfg.a))
         return verdict, verdict.satisfiable
     if cfg.amplifier == "stochastic":
-        alpha0, alpha1 = collapse_to_qubit(q_squared)
         dyn = adaptive.adapt(
-            adaptive.InputAmplitudes(alpha0, alpha1),
+            adaptive.InputAmplitudes(*collapse_to_qubit(q_squared)),
             adaptive.TwoLevelHamiltonian(cfg.e0, cfg.e1),
             adaptive.Susceptibility(complex(cfg.gamma_re, cfg.gamma_im)),
         )

@@ -14,10 +14,12 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from qsatlab.cnf import Assignment, Clause, CnfFormula, Literal
+from qsatlab.dynamics import IDENTITY2, Superoperator, vec
 from qsatlab.sat_circuit import build_sat_circuit, success_probability
 from qsatlab.statevector import prepare_uniform, run
 
@@ -50,6 +52,13 @@ def dense_q_squared(formula: CnfFormula) -> float:
     uniform superposition."""
     circuit, layout = build_sat_circuit(formula)
     return success_probability(run(circuit, prepare_uniform(formula.n, layout.mu)), layout)
+
+
+def inflating_generator() -> Superoperator:
+    """rho -> rho - Tr(rho) I/2: trace-preserving, well conditioned, but it
+    drives every non-maximally-mixed state out of the positive cone."""
+    v = vec(IDENTITY2)
+    return Superoperator(np.eye(4) - 0.5 * np.outer(v, v.conj()), label="inflating")
 
 
 def random_test_formula(rng: random.Random, max_n: int = 6, max_m: int = 8,

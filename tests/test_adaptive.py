@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,20 +19,23 @@ from qsatlab.adaptive import (
     damping_generator,
     damping_rates,
     effective_hamiltonian,
-    evolve_adaptive,
     fit_exponential_rate,
 )
 from qsatlab.dynamics import (
     DensityMatrix2,
     PROJ_GROUND,
+    evolve,
+    propagate,
     spectrum,
     trace_distance,
     unvec,
     vec,
 )
+from qsatlab.sat_circuit import collapse_to_qubit
 
 H_DEFAULT = TwoLevelHamiltonian(0, 2)
 G_UNIT = Susceptibility(1.0)
+GAMMA_GRID = [complex(re, im) for re in (0.1, 1.0, 10.0) for im in (-1.0, 0.0, 1.0)]
 
 
 def amplitudes_from_q2(q2: float) -> InputAmplitudes:
@@ -86,14 +90,24 @@ def test_adapt_excited_input_is_trivially_sat():
     assert np.allclose(dyn.hamiltonian, np.diag([0.0, 3.0]))
 
 
+def test_adapt_branches_on_exact_zero_amplitudes():
+    tiny = adapt(InputAmplitudes(math.sqrt(1 - 1e-26), 1e-13), H_DEFAULT, G_UNIT)
+    assert isinstance(tiny, DampingDynamics)
+    assert classify(tiny).satisfiable
+    smallest = InputAmplitudes(*collapse_to_qubit(Fraction(1, 2**24)))
+    assert isinstance(adapt(smallest, H_DEFAULT, G_UNIT), DampingDynamics)
+    assert collapse_to_qubit(Fraction(0)) == (1.0, 0.0)
+    assert collapse_to_qubit(Fraction(1)) == (0.0, 1.0)
+
+
 def test_damping_branch_ignores_amplitude_values():
     small = adapt(amplitudes_from_q2(1 / 256), H_DEFAULT, G_UNIT)
     large = adapt(amplitudes_from_q2(0.4), H_DEFAULT, G_UNIT)
     assert np.array_equal(small.generator.matrix, large.generator.matrix)
     probe = DensityMatrix2.plus()
     for t in (0.5, 3.0, 11.0):
-        a = evolve_adaptive(small, probe, t)
-        b = evolve_adaptive(large, probe, t)
+        a = evolve(small.generator, probe, t)
+        b = evolve(large.generator, probe, t)
         assert np.array_equal(a.matrix, b.matrix)
 
 
@@ -120,11 +134,7 @@ def test_generator_spectrum_unique_invariant_state():
 def test_excited_population_decay_value():
     # d/dt rho_11 = -2 Re(gamma) rho_11 -> e^-2 at t = 1, gamma = 1
     l_star, _ = damping_generator(G_UNIT)
-    rho_t = evolve_adaptive(
-        DampingDynamics(l_star, damping_rates(G_UNIT), 1.0),
-        DensityMatrix2.excited(),
-        1.0,
-    )
+    rho_t = evolve(l_star, DensityMatrix2.excited(), 1.0)
     assert rho_t.p1 == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
@@ -148,14 +158,13 @@ def test_closed_form_matches_generator_path():
     rng = random.Random(2)
     g = Susceptibility(0.7 + 0.4j)
     l_star, _ = damping_generator(g)
-    dyn = DampingDynamics(l_star, damping_rates(g), g.gamma)
     for _ in range(5):
         p = rng.uniform(0, 1)
         c = 0.9 * math.sqrt(p * (1 - p))  # keeps the matrix PSD
         rho = DensityMatrix2(np.array([[1 - p, c], [c, p]], dtype=complex))
         for t in (0.1, 1.0, 4.0):
             assert (
-                np.max(np.abs(evolve_adaptive(dyn, rho, t).matrix - damping_closed_form(g, rho, t).matrix))
+                np.max(np.abs(evolve(l_star, rho, t).matrix - damping_closed_form(g, rho, t).matrix))
                 < 1e-9
             )
 
@@ -176,28 +185,26 @@ def test_effective_hamiltonian_examples():
 def test_effective_hamiltonian_strictness():
     aperiodic = TwoLevelHamiltonian(0.25, 2.0)
     with pytest.raises(ValueError, match="non-integer"):
-        effective_hamiltonian(aperiodic, strict=True)
-    with pytest.warns(UserWarning, match="non-integer"):
-        effective_hamiltonian(aperiodic, strict=False)
+        effective_hamiltonian(aperiodic)
 
 
 def test_coherent_populations_are_constant():
     dyn = adapt(InputAmplitudes(1.0, 0.0), H_DEFAULT, G_UNIT)
     probe = DensityMatrix2.plus()
     for t in np.linspace(0.0, 15.0, 12):
-        rho = evolve_adaptive(dyn, probe, float(t))
+        rho = evolve(dyn.generator, probe, float(t))
         assert rho.p1 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_coherent_phase_rotation_and_period():
     dyn = adapt(InputAmplitudes(1.0, 0.0), H_DEFAULT, G_UNIT)
     probe = DensityMatrix2.plus()
-    rho = evolve_adaptive(dyn, probe, 0.7)
+    rho = evolve(dyn.generator, probe, 0.7)
     # rho_01(t) = e^{i * delta * t} * rho_01(0) for H_eff = diag(1, 2)
     assert rho.coherence == pytest.approx(0.5 * cmath.exp(1j * 0.7), abs=1e-12)
     for t in (0.0, 1.3, 4.0):
-        a = evolve_adaptive(dyn, probe, t)
-        b = evolve_adaptive(dyn, probe, t + 2 * math.pi)
+        a = evolve(dyn.generator, probe, t)
+        b = evolve(dyn.generator, probe, t + 2 * math.pi)
         assert trace_distance(a, b) < 1e-9
 
 
@@ -205,7 +212,7 @@ def test_coherent_invariants():
     dyn = adapt(InputAmplitudes(1.0, 0.0), H_DEFAULT, G_UNIT)
     probe = DensityMatrix2.plus()
     for t in np.linspace(0.0, 20.0, 17):
-        rho = evolve_adaptive(dyn, probe, float(t))
+        rho = evolve(dyn.generator, probe, float(t))
         assert abs(rho.coherence) == pytest.approx(0.5, abs=1e-9)
         assert rho.purity == pytest.approx(1.0, abs=1e-10)
 
@@ -265,8 +272,36 @@ def test_trajectory_is_recorded():
     dyn = adapt(amplitudes_from_q2(0.01), H_DEFAULT, G_UNIT)
     verdict = classify(dyn, ClassifierConfig(horizon=5.0, dt=0.5, threshold=0.1))
     assert len(verdict.trajectory) == 11
-    assert verdict.trajectory[0].p1 == pytest.approx(0.5)
-    assert verdict.trajectory[0].coh_abs == pytest.approx(0.5)
+    assert verdict.trajectory.shape == (11, 4) and verdict.trajectory.dtype == np.float64
+    assert not verdict.trajectory.flags.writeable
+    t, p1, coh_abs, coh_phase = verdict.trajectory.T
+    assert np.array_equal(t, 0.5 * np.arange(11))
+    assert p1[0] == pytest.approx(0.5)
+    assert coh_abs[0] == pytest.approx(0.5)
+    assert np.allclose(p1, 0.5 * np.exp(-2.0 * t), rtol=0, atol=1e-12)
+    assert np.allclose(coh_abs, 0.5 * np.exp(-t), rtol=0, atol=1e-12)
+    assert np.max(np.abs(coh_phase)) < 1e-12
+
+
+@pytest.mark.parametrize("branch", ["damping", "coherent", "trivially_sat"])
+def test_propagate_matches_evolve_across_gamma_grid(branch):
+    psi = {
+        "damping": amplitudes_from_q2(2.0**-10),
+        "coherent": InputAmplitudes(1.0, 0.0),
+        "trivially_sat": InputAmplitudes(0.0, 1.0),
+    }[branch]
+    probe = DensityMatrix2.plus()
+    for gamma in GAMMA_GRID:
+        g = Susceptibility(gamma)
+        dyn = adapt(psi, H_DEFAULT, g)
+        horizon = 20.0 / gamma.real
+        ts = np.arange(0.0, horizon + horizon / 800, horizon / 400)  # the classifier's samples
+        states = propagate(dyn.generator, probe, ts)
+        assert states.shape == (401, 2, 2)
+        for t, state in zip(ts, states):
+            assert np.max(np.abs(state - evolve(dyn.generator, probe, float(t)).matrix)) < 1e-12
+            if branch == "damping":
+                assert np.max(np.abs(state - damping_closed_form(g, probe, float(t)).matrix)) < 1e-12
 
 
 # -- convergence rates -------------------------------------------------------------------
@@ -275,15 +310,14 @@ def test_trajectory_is_recorded():
 def test_convergence_exponent_depends_on_probe():
     g = Susceptibility(1.0)
     l_star, _ = damping_generator(g)
-    dyn = DampingDynamics(l_star, damping_rates(g), 1.0)
     ground = DensityMatrix2.ground()
 
     ts = np.linspace(1.0, 6.0, 26)
-    pop_probe = [trace_distance(evolve_adaptive(dyn, DensityMatrix2.excited(), float(t)), ground) for t in ts]
+    pop_probe = [trace_distance(evolve(l_star, DensityMatrix2.excited(), float(t)), ground) for t in ts]
     assert fit_exponential_rate(ts, pop_probe) == pytest.approx(2.0, rel=0.02)
 
     ts = np.linspace(5.0, 10.0, 26)
-    mixed_probe = [trace_distance(evolve_adaptive(dyn, DensityMatrix2.plus(), float(t)), ground) for t in ts]
+    mixed_probe = [trace_distance(evolve(l_star, DensityMatrix2.plus(), float(t)), ground) for t in ts]
     assert fit_exponential_rate(ts, mixed_probe) == pytest.approx(1.0, rel=0.02)
 
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import inflating_generator
 from qsatlab.adaptive import Susceptibility, damping_closed_form, damping_generator
 from qsatlab.dynamics import (
     DensityMatrix2,
@@ -18,12 +19,14 @@ from qsatlab.dynamics import (
     expm_superop,
     heisenberg_evolve,
     left_mult,
+    propagate,
     right_mult,
     spectrum,
     trace_distance,
     unvec,
     vec,
 )
+from qsatlab.errors import InvariantError
 
 
 def random_density(rng: random.Random) -> DensityMatrix2:
@@ -116,6 +119,26 @@ def test_evolve_requires_trace_preserving_generator():
     leaky = Superoperator(np.diag([-1.0, 0, 0, 0]).astype(complex), label="leaky")
     with pytest.raises(ValueError, match="leaky.*not trace-preserving"):
         evolve(leaky, DensityMatrix2.plus(), 1.0)
+    with pytest.raises(ValueError, match="leaky.*not trace-preserving"):
+        propagate(leaky, DensityMatrix2.plus(), [0.0, 1.0])
+
+
+def test_propagate_rejects_bad_times():
+    l_star, _ = damping_generator(Susceptibility(1.0))
+    for ts in ([], [0.0, -1.0], [[0.0, 1.0]], [float("nan")], [float("inf")]):
+        with pytest.raises(ValueError, match="times"):
+            propagate(l_star, DensityMatrix2.plus(), ts)
+
+
+def test_unphysical_evolution_is_an_invariant_error():
+    inflating = inflating_generator()
+    assert inflating.is_trace_preserving()
+    with pytest.raises(InvariantError, match="eigenvalue"):
+        propagate(inflating, DensityMatrix2.plus(), np.linspace(0.0, 1.0, 5))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvariantError, match="finite"):
+        propagate(inflating, DensityMatrix2.plus(), [0.0, 1000.0])  # exp(1000) overflows
+    with pytest.raises(InvariantError, match="eigenvalue"):
+        evolve(inflating, DensityMatrix2.plus(), 1.0)
 
 
 def test_ground_state_is_invariant_under_damping():
@@ -228,6 +251,8 @@ def test_density_matrix_validation():
         DensityMatrix2(np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
     with pytest.raises(ValueError, match="2x2"):
         DensityMatrix2(np.eye(3, dtype=complex) / 3)
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix2(np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_superoperator_validation():

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import inflating_generator
+from qsatlab import adaptive
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
@@ -172,7 +174,11 @@ def test_verdict_blocks_and_trace_headers(tmp_path):
     assert set(block) == {"damped", "tail_mean", "fitted_rate", "satisfiable"}
     assert block["damped"] is True and block["satisfiable"] is True
     assert block["fitted_rate"] == pytest.approx(2.0, rel=1e-6)
-    assert render(stochastic, "csv").splitlines()[0] == "t,p1,coh_abs,coh_phase"
+    header, *rows = render(stochastic, "csv").splitlines()
+    assert header == "t,p1,coh_abs,coh_phase" and len(rows) == 401
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == 4 and all(repr(float(cell)) == cell for cell in cells)
 
 
 def test_render_rejects_invalid_combinations(tmp_path):
@@ -299,6 +305,21 @@ def test_cli_rejects_invalid_qubit_cap_in_every_command(tmp_path, capsys, monkey
         argv = ["solve", "--input", str(sat), "--mode", command]
     assert main(argv) == 64
     assert "QSAT_MAX_QUBITS must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    argv = ["solve", "--input", str(sat), "--amplifier", "stochastic"]
+    with monkeypatch.context() as patch:
+        patch.setattr(adaptive, "damping_generator", lambda g: (inflating_generator(), inflating_generator()))
+        assert main(argv) == 70
+    assert "internal error: propagated state: matrix has eigenvalue" in capsys.readouterr().err
+
+    def exhausted(cfg):
+        raise MemoryError
+    monkeypatch.setattr("qsatlab.cli.run_pipeline", exhausted)
+    assert main(argv) == 70
+    assert "qsatlab: out of memory: allocation failed" in capsys.readouterr().err
 
 
 def test_cli_self_check(tmp_path, capsys):
