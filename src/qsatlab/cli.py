@@ -76,8 +76,7 @@ def _run_solve(args) -> int:
         print("amplifier  : none")
     else:
         print(f"amplifier  : {report.amplifier} -> {'SAT' if report.amplifier_satisfiable else 'UNSAT'}")
-    if report.reference is not None:
-        print(f"brute force: r={report.reference.r} -> {'SAT' if report.reference.r else 'UNSAT'}")
+    print(f"brute force: r={report.reference.r} -> {'SAT' if report.reference.r else 'UNSAT'}")
     if report.agreement is not None:
         print(f"agreement  : {report.agreement}")
     if args.emit:

@@ -5,7 +5,8 @@ set of literals (duplicates collapse) and is satisfied when any literal evaluate
 true. The empty clause evaluates to 0 (empty join), the empty formula to 1 (empty
 meet). Assignments are bit strings (eps_1, ..., eps_n); the integer encoding used
 for enumeration puts eps_1 in the most significant bit, matching the statevector
-basis-index convention.
+basis-index convention. Enumeration packs assignment k into lane k % 64 of
+uint64 word k // 64.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -19,13 +20,31 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimacsParseError, EnumerationCapError
+from .errors import DimacsParseError, EnumerationCapError, InvariantError
 
 #: Enumeration refuses formulas with more variables than this (2^24 = 16.7M
 #: assignments is still desk-scale; override per call if you know what you ask).
 DEFAULT_ENUMERATION_CAP = 24
 
-_ENUM_BLOCK = 1 << 20
+#: Enumeration packs 64 assignments per uint64 word: assignment k sits in lane
+#: k % 64 of word k // 64. _LANE_BITS[5 - b] is the word whose lane j holds bit
+#: b of j, so its last min(n, 6) entries are the columns of the last min(n, 6)
+#: variables.
+_LANE_BITS = np.array(
+    [
+        0xFFFFFFFF00000000,
+        0xFFFF0000FFFF0000,
+        0xFF00FF00FF00FF00,
+        0xF0F0F0F0F0F0F0F0,
+        0xCCCCCCCCCCCCCCCC,
+        0xAAAAAAAAAAAAAAAA,
+    ],
+    dtype=np.uint64,
+)
+#: An enumeration block spans at most _MAX_BLOCK_WORDS words, and all the
+#: columns its caller asks for at most _BLOCK_BYTES.
+_MAX_BLOCK_WORDS = 1 << 14
+_BLOCK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, order=True)
@@ -97,13 +116,6 @@ class Assignment:
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("assignment bits must be 0 or 1")
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "Assignment":
-        """Decode an integer; bit of eps_1 is the most significant."""
-        if not 0 <= index < (1 << n):
-            raise ValueError(f"index {index} out of range for n={n}")
-        return cls(tuple((index >> (n - i)) & 1 for i in range(1, n + 1)))
 
     def to_index(self) -> int:
         k = 0
@@ -209,13 +221,13 @@ def is_minimal(clause: Clause) -> bool:
     return not (positive & negative)
 
 
-def filter_minimal(formula: CnfFormula) -> CnfFormula:
-    """Drop clauses containing a complementary pair.
+def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
+    """The clauses without a complementary pair, in order.
 
-    Such a clause is satisfied by every assignment, so removing it from the
-    conjunction leaves the satisfying-set untouched. Idempotent.
+    A dropped clause is satisfied by every assignment, so leaving it out of
+    the conjunction leaves the satisfying set untouched. Idempotent.
     """
-    return CnfFormula(formula.n, (c for c in formula.clauses if is_minimal(c)))
+    return tuple(c for c in formula.clauses if is_minimal(c))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -239,38 +251,77 @@ def eval_formula(formula: CnfFormula, assignment: Assignment) -> int:
 # -- brute-force counting oracle ----------------------------------------------
 
 
-def _count_block(formula: CnfFormula, lo: int, hi: int) -> int:
-    """Count satisfying assignments with integer encodings in [lo, hi)."""
-    ks = np.arange(lo, hi, dtype=np.int64)
-    sat = np.ones(hi - lo, dtype=bool)
+def input_blocks(
+    n: int, width: int, max_vars: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the 2^n assignments block by block as packed uint64 columns.
+
+    Each item is (columns, live). columns has `width` rows over the block's
+    words: row i-1 holds variable i, which is bit n-i of assignment
+    k = 64*word + lane, and the rows from n on are zero, left to the caller.
+    live marks the lanes that hold an assignment (all of them once n > 6).
+    Blocks are sized so that columns stay within _BLOCK_BYTES. Past max_vars
+    variables this raises EnumerationCapError before allocating anything.
+    """
+    if n > max_vars:
+        raise EnumerationCapError(
+            f"enumeration over 2^{n} assignments exceeds the cap of "
+            f"2^{max_vars}; raise max_vars explicitly to allow it"
+        )
+    lanes = 1 << n
+    # Two words at least: numpy's in-place ufuncs take a slow path on size-1 arrays.
+    total_words = max(2, lanes >> 6)
+    words = min(total_words, _MAX_BLOCK_WORDS, max(1, _BLOCK_BYTES // (8 * width)))
+    low = min(n, 6)
+    for lo in range(0, total_words, words):
+        size = min(words, total_words - lo)
+        columns = np.zeros((width, size), dtype=np.uint64)
+        columns[n - low : n] = _LANE_BITS[6 - low :, None]
+        if n > 6:  # variables 1..n-6 are bits n-7..0 of the word index
+            shifts = np.arange(n - 7, -1, -1)[:, None]
+            columns[: n - 6] = np.negative((np.arange(lo, lo + size) >> shifts) & 1)
+            live = np.full(size, ~np.uint64(0))
+        else:
+            live = np.array(
+                [(1 << min(64, max(0, lanes - 64 * w))) - 1 for w in range(lo, lo + size)],
+                dtype=np.uint64,
+            )
+        yield columns, live
+
+
+def _count_block(formula: CnfFormula, columns: np.ndarray, live: np.ndarray) -> int:
+    """Count the satisfying assignments among one block's live lanes; columns
+    holds the n inputs and room for their complements, sat and cl."""
+    n = formula.n
+    np.invert(columns[:n], out=columns[n : 2 * n])
+    rows = list(columns)
+    sat, cl = rows[2 * n], rows[2 * n + 1]
+    np.copyto(sat, live)
     for clause in formula.clauses:
         if not sat.any():
             break
-        cl = np.zeros(hi - lo, dtype=bool)
+        cl.fill(0)
         for lit in clause:
-            bit = ((ks >> (formula.n - lit.var)) & 1).astype(bool)
-            cl |= ~bit if lit.negated else bit
+            cl |= rows[lit.var - 1 + n * lit.negated]
         sat &= cl
-    return int(np.count_nonzero(sat))
+    return int(np.bitwise_count(sat).sum())
 
 
 def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CAP) -> CountSummary:
     """Count satisfying assignments by full enumeration of all 2^n of them.
 
     This is the reference oracle everything else is checked against: no
-    pruning, no heuristics. Internally vectorized over blocks of assignments;
-    the result is an exact integer and q_squared an exact rational.
+    pruning, no heuristics. Clauses are evaluated on packed words, 64
+    assignments per word; the result is an exact integer and q_squared an
+    exact rational.
     """
-    if formula.n > max_vars:
-        raise EnumerationCapError(
-            f"enumeration over 2^{formula.n} assignments exceeds the cap of "
-            f"2^{max_vars}; raise max_vars explicitly to allow it"
-        )
     total = 1 << formula.n
-    r = 0
-    for lo in range(0, total, _ENUM_BLOCK):
-        r += _count_block(formula, lo, min(lo + _ENUM_BLOCK, total))
-    return CountSummary(r=r, total=total, q_squared=Fraction(r, total))
+    blocks = input_blocks(formula.n, 2 * formula.n + 2, max_vars)
+    r = sum(_count_block(formula, columns, live) for columns, live in blocks)
+    try:
+        return CountSummary(r=r, total=total, q_squared=Fraction(r, total))
+    except ValueError as exc:
+        raise InvariantError(f"brute-force count: {exc} (r={r}, total={total})") from exc
 
 
 def is_sat(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CAP) -> bool:

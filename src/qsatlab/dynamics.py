@@ -136,9 +136,6 @@ class Superoperator:
             raise ValueError("superoperator has non-finite entries")
         self.matrix = m
 
-    def __call__(self, rho: Mat2) -> Mat2:
-        return unvec(self.matrix @ vec(rho))
-
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Eigendecomposition (w, V, V^-1), or None if too ill-conditioned."""

@@ -15,10 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import adaptive, chaos
-from .cnf import CnfFormula, CountSummary, count_satisfying, parse_dimacs
+from .cnf import DEFAULT_ENUMERATION_CAP, CnfFormula, CountSummary, count_satisfying, parse_dimacs
 from .errors import EnumerationCapError
 from .sat_circuit import build_sat_circuit, collapse_to_qubit, count_result_ones, required_ancillas
-from .statevector import max_qubits
 
 MODES = ("oracle", "statevector")
 AMPLIFIERS = ("chaos", "stochastic", "none")
@@ -61,7 +60,7 @@ class Report:
     q_squared_rational: Fraction
     verdict: "chaos.ChaosVerdict | adaptive.DynVerdict | None"
     amplifier_satisfiable: bool | None
-    reference: CountSummary | None
+    reference: CountSummary
     agreement: bool | None
     elapsed_s: float
 
@@ -79,12 +78,11 @@ class Report:
                 "kind": self.amplifier,
                 "verdict": self.verdict.summary() if self.verdict is not None else None,
             },
-            "reference": (
-                {"r": self.reference.r, "total": self.reference.total,
-                 "satisfiable": self.reference.r >= 1}
-                if self.reference is not None
-                else None
-            ),
+            "reference": {
+                "r": self.reference.r,
+                "total": self.reference.total,
+                "satisfiable": self.reference.r >= 1,
+            },
             "agreement": self.agreement,
             "timing": {"elapsed_s": self.elapsed_s},
         }
@@ -119,24 +117,23 @@ def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
 
 def run_pipeline(cfg: PipelineConfig) -> Report:
     """Parse the input file, produce q^2 in the configured mode, amplify, and
-    attach the brute-force reference verdict when enumeration is feasible."""
+    attach the brute-force reference verdict. Both modes enumerate all 2^n
+    inputs, so both refuse n > DEFAULT_ENUMERATION_CAP before building
+    anything."""
     started = time.perf_counter()
     text = Path(cfg.input_path).read_text()
     formula = parse_dimacs(text)
     mu = required_ancillas(formula)
 
-    reference: CountSummary | None
     try:
         reference = count_satisfying(formula)
     except EnumerationCapError:
-        reference = None
+        raise EnumerationCapError(
+            f"{cfg.mode} mode enumerates all 2^n inputs but n={formula.n} exceeds "
+            f"the cap of {DEFAULT_ENUMERATION_CAP}; shrink the instance"
+        ) from None
 
     if cfg.mode == "oracle":
-        if reference is None:
-            raise EnumerationCapError(
-                f"oracle mode needs enumeration but n={formula.n} exceeds the cap; "
-                "use statevector mode only if the circuit fits, or shrink the instance"
-            )
         q_exact = reference.q_squared
     else:
         q_exact = statevector_q_squared(formula)
@@ -144,7 +141,7 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
 
     verdict, amp_sat = _amplifier_verdict(cfg, q_exact, formula.n)
     agreement = None
-    if amp_sat is not None and reference is not None:
+    if amp_sat is not None:
         agreement = amp_sat == (reference.r >= 1)
 
     report = Report(
@@ -252,9 +249,9 @@ def read_expectation(text: str) -> bool | None:
 
 
 def self_check(corpus_dir: str | Path) -> CheckSummary:
-    """Run both amplifiers in both modes (statevector where the circuit fits)
-    over every .cnf in a directory and compare all verdicts against brute
-    force and against any 'c expect' annotation."""
+    """Run both amplifiers in both modes over every .cnf in a directory and
+    compare all verdicts against brute force and against any 'c expect'
+    annotation."""
     corpus = sorted(Path(corpus_dir).glob("*.cnf"))
     if not corpus:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
@@ -273,9 +270,7 @@ def self_check(corpus_dir: str | Path) -> CheckSummary:
                 f"expectation says {'SAT' if expected else 'UNSAT'} but brute force "
                 f"counts r={reference.r}"
             )
-        q2_by_mode = {"oracle": reference.q_squared}
-        if formula.n + mu <= max_qubits():
-            q2_by_mode["statevector"] = statevector_q_squared(formula)
+        q2_by_mode = {"oracle": reference.q_squared, "statevector": statevector_q_squared(formula)}
         verdicts: dict[tuple[str, str], bool] = {}
         for amp in ("chaos", "stochastic"):
             for mode, q2 in q2_by_mode.items():

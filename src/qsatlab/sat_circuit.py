@@ -14,8 +14,10 @@ empty clause makes the formula constant 0 and the build degenerates to an
 idle circuit.
 
 Since the gate set only permutes basis states, count_result_ones reads the
-exact satisfying count off the circuit itself, bit-sliced: one boolean column
-per qubit over a block of inputs, no dense state.
+exact satisfying count off the circuit itself, bit-sliced: one packed uint64
+column per qubit over a block of inputs, 64 inputs per word, no dense state.
+Only the number of inputs is capped (as for the brute-force count), not the
+register width.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cnf import _ENUM_BLOCK, Clause, CnfFormula, is_minimal
-from .errors import QubitCapError
-from .statevector import Circuit, Gate, StateVector, max_qubits
+from .cnf import Clause, CnfFormula, filter_minimal, input_blocks
+from .statevector import Circuit, Gate, StateVector
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,12 @@ class CircuitLayout:
 
 
 def required_ancillas(formula: CnfFormula) -> int:
-    """Ancilla count mu for the standard construction (before any cap check).
+    """Ancilla count mu for the standard construction.
 
     mu = sum over kept clauses of (|C|-1) + (m-1) + 1, degenerating to 1 for
     constant formulas; linear in m*n since kept clauses are minimal.
     """
-    active = [c for c in formula.clauses if is_minimal(c)]
+    active = filter_minimal(formula)
     if not active or any(len(c) == 0 for c in active):
         return 1
     m = len(active)
@@ -76,12 +77,6 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
     n = formula.n
     mu = required_ancillas(formula)
     total = n + mu
-    cap = max_qubits()
-    if total > cap:
-        raise QubitCapError(
-            f"formula needs {total} qubits ({n} inputs + {mu} ancillas), over the "
-            f"cap of {cap}; use oracle mode or raise QSAT_MAX_QUBITS"
-        )
     layout = CircuitLayout(
         n_input=n,
         work_qubits=range(n, total - 1),
@@ -91,7 +86,7 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
     assert mu <= n * formula.num_clauses + 2, "ancilla budget not linear in m*n"
 
     circuit = Circuit(total)
-    active = [c for c in formula.clauses if is_minimal(c)]
+    active = filter_minimal(formula)
 
     if any(len(c) == 0 for c in active):
         return circuit, layout  # constant 0: result qubit never touched
@@ -179,25 +174,23 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
 def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
     """Number of inputs eps whose result qubit reads 1 after the circuit acts
     on |eps, 0...0>; 2^n * q^2 exactly. Only X/CNOT/Toffoli are accepted,
-    since H and PHASE do not map basis states to basis states."""
-    n = layout.n_input
-    total = 1 << n
+    since H and PHASE do not map basis states to basis states. Raises
+    EnumerationCapError past 2^DEFAULT_ENUMERATION_CAP inputs."""
     count = 0
-    for lo in range(0, total, _ENUM_BLOCK):
-        ks = np.arange(lo, min(lo + _ENUM_BLOCK, total), dtype=np.int64)
-        cols = [((ks >> (n - 1 - q)) & 1).astype(bool) for q in range(n)]
-        cols += [np.zeros(ks.size, dtype=bool) for _ in range(n, circuit.num_qubits)]
+    for columns, live in input_blocks(layout.n_input, circuit.num_qubits + 1):
+        cols = list(columns)
+        scratch = cols[-1]
         for gate in circuit.gates:
             *controls, t = gate.qubits
             if gate.kind == "X":
-                np.logical_not(cols[t], out=cols[t])
+                np.invert(cols[t], out=cols[t])
             elif gate.kind == "CNOT":
                 cols[t] ^= cols[controls[0]]
             elif gate.kind == "TOFFOLI":
-                cols[t] ^= cols[controls[0]] & cols[controls[1]]
+                cols[t] ^= np.bitwise_and(cols[controls[0]], cols[controls[1]], out=scratch)
             else:
                 raise ValueError(f"{gate.kind} is not a basis permutation")
-        count += int(np.count_nonzero(cols[layout.result_qubit]))
+        count += int(np.bitwise_count(cols[layout.result_qubit] & live).sum())
     return count
 
 

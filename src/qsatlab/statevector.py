@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QubitCapError
+from .errors import InvariantError, QubitCapError
 
 DEFAULT_MAX_QUBITS = 26
 _NORM_TOL = 1e-10
@@ -143,9 +143,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(num_qubits, amps)
 
-    def probability(self, index: int) -> float:
-        return float(abs(self.amps[index]) ** 2)
-
 
 def prepare_uniform(n: int, mu: int) -> StateVector:
     """Equal-weight superposition over the first n qubits with mu trailing
@@ -214,7 +211,8 @@ def _bit_slices(num_qubits: int, fixed: dict[int, int]) -> tuple:
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply all gates in order. Norm is re-validated on the result."""
+    """Apply all gates in order. The result's norm is re-validated; a drift
+    there is a kernel fault and raises InvariantError."""
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}"
@@ -222,7 +220,10 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     amps = state.amps.copy()
     for gate in circuit.gates:
         _apply_inplace(amps, state.num_qubits, gate)
-    return StateVector(state.num_qubits, amps)
+    try:
+        return StateVector(state.num_qubits, amps)
+    except ValueError as exc:
+        raise InvariantError(f"circuit output: {exc}") from exc
 
 
 # -- state dump (test fixture format) -------------------------------------------

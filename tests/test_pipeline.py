@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
 from qsatlab.corpus import write_corpus
-from qsatlab.errors import EnumerationCapError, QubitCapError
+from qsatlab.errors import EnumerationCapError
 from qsatlab.pipeline import (
     PipelineConfig,
     read_expectation,
@@ -20,6 +21,7 @@ from qsatlab.pipeline import (
     self_check,
     statevector_q_squared,
 )
+from qsatlab.sat_circuit import required_ancillas
 
 
 SATLIB_FIXTURE = Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf"
@@ -91,11 +93,32 @@ def test_oracle_mode_requires_enumerable_instance(tmp_path):
         run_pipeline(PipelineConfig(input_path=str(path), mode="oracle"))
 
 
-def test_statevector_mode_suggests_oracle_when_too_wide(tmp_path):
-    clauses = [lits(v, v + 1) for v in range(1, 20)]
-    path = _write(tmp_path, "wide.cnf", CnfFormula(20, clauses))
-    with pytest.raises(QubitCapError, match="oracle mode"):
+def test_statevector_mode_refuses_too_many_inputs(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "wide.cnf", CnfFormula(25, [lits(v, v + 1) for v in range(1, 25)]))
+
+    def never_built(formula):
+        raise AssertionError("the circuit was built before the input count was checked")
+    monkeypatch.setattr("qsatlab.pipeline.build_sat_circuit", never_built)
+    with pytest.raises(EnumerationCapError, match=r"statevector mode enumerates all 2\^n inputs but n=25"):
         run_pipeline(PipelineConfig(input_path=str(path), mode="statevector"))
+    assert main(["solve", "--input", str(path), "--mode", "statevector"]) == 64
+    assert "exceeds the cap of 24" in capsys.readouterr().err
+
+
+def test_statevector_mode_solves_circuits_wider_than_the_qubit_cap(tmp_path, capsys):
+    rng = random.Random(7)
+    formula = CnfFormula(5, [lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3)))
+                             for _ in range(21)])
+    assert formula.n + required_ancillas(formula) == 68
+    path = _write(tmp_path, "threshold.cnf", formula)
+    for amplifier in ("chaos", "stochastic"):
+        reports = {mode: run_pipeline(PipelineConfig(input_path=str(path), mode=mode, amplifier=amplifier))
+                   for mode in ("oracle", "statevector")}
+        assert reports["statevector"].q_squared_rational == reports["oracle"].q_squared_rational
+        assert reports["statevector"].amplifier_satisfiable == reports["oracle"].amplifier_satisfiable
+        assert reports["statevector"].agreement
+    assert main(["solve", "--input", str(path), "--mode", "statevector"]) == 0
+    assert "mu=63" in capsys.readouterr().out
 
 
 def test_config_validation():
@@ -314,6 +337,11 @@ def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
         patch.setattr(adaptive, "damping_generator", lambda g: (inflating_generator(), inflating_generator()))
         assert main(argv) == 70
     assert "internal error: propagated state: matrix has eigenvalue" in capsys.readouterr().err
+
+    with monkeypatch.context() as patch:
+        patch.setattr("qsatlab.cnf._count_block", lambda formula, columns, live: 5)
+        assert main(["solve", "--input", str(sat)]) == 70
+    assert "internal error: brute-force count: satisfying count out of range" in capsys.readouterr().err
 
     def exhausted(cfg):
         raise MemoryError

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import all_assignments, brute_count, brute_eval, random_test_formula
-from qsatlab.cnf import Clause, CnfFormula, count_satisfying, eval_formula, lits
-from qsatlab.errors import QubitCapError
+from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_test_formula
+from qsatlab.cnf import Clause, CnfFormula, Literal, count_satisfying, eval_formula, lits, parse_dimacs
+from qsatlab.errors import EnumerationCapError
 from qsatlab.sat_circuit import (
     build_sat_circuit,
     collapse_to_qubit,
@@ -149,10 +149,55 @@ def test_count_result_ones_matches_dense_and_brute_force(seed):
 
 
 def test_count_result_ones_across_blocks(monkeypatch):
-    monkeypatch.setattr("qsatlab.sat_circuit._ENUM_BLOCK", 8)
-    formula = CnfFormula(6, [lits(1, -2, 3), lits(-1, 4), lits(2, 5, -6), lits(-3, -5)])
+    monkeypatch.setattr("qsatlab.cnf._MAX_BLOCK_WORDS", 1)
+    formula = CnfFormula(8, [lits(1, -2, 3), lits(-1, 4), lits(2, 5, -6), lits(-3, -5), lits(7, -8)])
     circuit, layout = build_sat_circuit(formula)
     assert count_result_ones(circuit, layout) == brute_count(formula)
+
+
+def _formula_over(n: int, rng: random.Random, max_m: int = 8) -> CnfFormula:
+    """Random clauses of 0..3 literals over exactly n variables."""
+    clauses = []
+    for _ in range(rng.randint(0, max_m)):
+        shortest = 0 if n == 0 or rng.random() < 0.05 else 1
+        chosen = rng.sample(range(1, n + 1), rng.randint(shortest, min(3, n)))
+        clauses.append(Clause(Literal(v, rng.random() < 0.5) for v in chosen))
+    return CnfFormula(n, clauses)
+
+
+def _packed_counts(formula: CnfFormula) -> tuple[int, int]:
+    return count_satisfying(formula).r, count_result_ones(*build_sat_circuit(formula))
+
+
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_packed_counts_mask_unused_lanes(n, seed):
+    formula = _formula_over(n, random.Random(seed))
+    expected = brute_count(formula)
+    assert _packed_counts(formula) == (expected, expected)
+
+
+@given(st.integers(7, 10), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_packed_counts_across_blocks(n, block_words, seed):
+    formula = _formula_over(n, random.Random(seed), max_m=12)
+    expected = brute_count(formula)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qsatlab.cnf._MAX_BLOCK_WORDS", block_words)
+        assert _packed_counts(formula) == (expected, expected)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_packed_circuit_count_matches_dense_simulation(seed):
+    formula = random_test_formula(random.Random(seed), max_n=10, max_m=6, allow_empty_clause=True)
+    assume(formula.n + required_ancillas(formula) <= 16)
+    count = count_result_ones(*build_sat_circuit(formula))
+    assert abs(dense_q_squared(formula) - count / 2**formula.n) < 1e-10
+
+
+def test_packed_counts_match_brute_force_on_corpus(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.cnf")):
+        formula = parse_dimacs(path.read_text())
+        expected = brute_count(formula)
+        assert _packed_counts(formula) == (expected, expected), path.name
 
 
 def test_count_result_ones_rejects_non_permutation_gates():
@@ -215,12 +260,11 @@ def test_uncompute_restores_workspace():
 
 
 def test_cap_error_reports_requirements():
-    wide = CnfFormula(20, [lits(*range(1, 9)), lits(*range(9, 17)), lits(17, 18, 19, 20)])
-    needed = 20 + required_ancillas(wide)
-    if needed <= 26:
-        pytest.skip("formula unexpectedly fits")
-    with pytest.raises(QubitCapError, match=rf"{needed} qubits"):
-        build_sat_circuit(wide)
+    wide = CnfFormula(25, [lits(*range(1, 9)), lits(*range(9, 17)), lits(*range(17, 26))])
+    circuit, layout = build_sat_circuit(wide)  # the register width is not capped
+    assert layout.num_qubits == 25 + required_ancillas(wide) > 26
+    with pytest.raises(EnumerationCapError, match=r"2\^25 assignments exceeds the cap of 2\^24"):
+        count_result_ones(circuit, layout)
 
 
 def test_collapse_to_qubit():

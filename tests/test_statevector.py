@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsatlab.errors import QubitCapError
+from qsatlab.errors import InvariantError, QubitCapError
 from qsatlab.statevector import (
     Circuit,
     Gate,
@@ -221,6 +221,14 @@ def test_circuit_rejects_out_of_range_gates():
 def test_state_norm_validation():
     with pytest.raises(ValueError, match="norm"):
         StateVector(1, np.array([1.0, 1.0], dtype=complex))
+
+
+def test_norm_drift_in_run_is_an_invariant_error(monkeypatch):
+    def leaky(amps, num_qubits, gate):
+        amps *= 2.0
+    monkeypatch.setattr("qsatlab.statevector._apply_inplace", leaky)
+    with pytest.raises(InvariantError, match="circuit output: state norm"):
+        run(Circuit(1, [Gate.x(0)]), prepare_uniform(1, 0))
 
 
 def test_states_are_immutable():
