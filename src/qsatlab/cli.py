@@ -8,6 +8,7 @@ or 20 (UNSAT). self-check exits 1 on any disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import DimacsParseError, EnumerationCapError, QubitCapError
@@ -26,6 +27,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on first use, then reused: in-process callers solve many times
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsatlab", description="SAT decision laboratory")
     sub = parser.add_subparsers(dest="command", required=True)

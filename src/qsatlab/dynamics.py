@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantError
 
@@ -24,7 +23,6 @@ IDENTITY2: Mat2 = np.eye(2, dtype=complex)
 PROJ_GROUND: Mat2 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ_EXCITED: Mat2 = np.array([[0, 0], [0, 1]], dtype=complex)
 LOWERING: Mat2 = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-PAULI_Z: Mat2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _ZERO_EIG = 1e-10
 _HERM_TOL = 1e-12
@@ -54,14 +52,6 @@ def right_mult(b: Mat2) -> np.ndarray:
 def sandwich(a: Mat2, b: Mat2) -> np.ndarray:
     """Superoperator matrix of rho -> a @ rho @ b."""
     return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
-def commutator(a: Mat2, b: Mat2) -> Mat2:
-    return a @ b - b @ a
-
-
-def anticommutator(a: Mat2, b: Mat2) -> Mat2:
-    return a @ b + b @ a
 
 
 def _unphysical(m: np.ndarray) -> str | None:
@@ -137,11 +127,11 @@ class Superoperator:
         self.matrix = m
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Eigendecomposition (w, V, V^-1), or None if too ill-conditioned."""
+    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigendecomposition (w, V, V^-1); ValueError if V is too ill-conditioned."""
         w, v = np.linalg.eig(self.matrix)
         if np.linalg.cond(v) > 1e10:
-            return None
+            raise ValueError(f"generator {self.label or repr(self.matrix)} is too ill-conditioned to diagonalise")
         return w, v, np.linalg.inv(v)
 
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
@@ -152,17 +142,11 @@ class Superoperator:
 
 
 def expm_superop(sup: Superoperator, t: float) -> Superoperator:
-    """exp(t L), by eigendecomposition when well conditioned, otherwise by
-    scipy's scaling-and-squaring."""
+    """exp(t L) = V exp(t w) V^-1 from the generator's eigendecomposition."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    eig = sup._eig
-    if eig is not None:
-        w, v, v_inv = eig
-        m = (v * np.exp(t * w)) @ v_inv
-    else:
-        m = scipy.linalg.expm(t * sup.matrix)
-    return Superoperator(m, label=f"exp({t:g}*{sup.label or 'L'})")
+    w, v, v_inv = sup._eig
+    return Superoperator((v * np.exp(t * w)) @ v_inv, label=f"exp({t:g}*{sup.label or 'L'})")
 
 
 def evolve(sup: Superoperator, rho: DensityMatrix2, t: float) -> DensityMatrix2:
@@ -182,8 +166,6 @@ def propagate(sup: Superoperator, rho: DensityMatrix2, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if not (ts.ndim == 1 and ts.size and np.all(np.isfinite(ts) & (ts >= 0))):
         raise ValueError("times must be a nonempty 1-d array of finite nonnegative values")
-    if sup._eig is None:
-        raise ValueError(f"generator {sup.label or repr(sup.matrix)} is too ill-conditioned to diagonalise")
     w, v, v_inv = sup._eig
     rows = (np.exp(np.outer(ts, w)) * (v_inv @ vec(rho.matrix))) @ v.T
     states = rows.reshape(-1, 2, 2).transpose(0, 2, 1)  # unvec each row

@@ -6,6 +6,8 @@ evaluated with any()/all() directly, so expected values asserted in the tests
 are computed along a route the code under test never touches. dense_q_squared
 is the one circuit-path helper: the dense simulator's reading of q^2, kept as
 the cross-check for the permutation evaluation that statevector mode uses.
+The 2x2 algebra helpers (PAULI_Z, commutator, anticommutator) serve the tests'
+by-hand checks of the superoperator builders; the package itself needs none.
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ def dense_q_squared(formula: CnfFormula) -> float:
     uniform superposition."""
     circuit, layout = build_sat_circuit(formula)
     return success_probability(run(circuit, prepare_uniform(formula.n, layout.mu)), layout)
+
+
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b + b @ a
 
 
 def inflating_generator() -> Superoperator:

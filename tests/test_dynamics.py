@@ -3,18 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import inflating_generator
+from conftest import PAULI_Z, anticommutator, commutator, inflating_generator
 from qsatlab.adaptive import Susceptibility, damping_closed_form, damping_generator
 from qsatlab.dynamics import (
     DensityMatrix2,
     IDENTITY2,
     LOWERING,
-    PAULI_Z,
     PROJ_EXCITED,
     PROJ_GROUND,
     Superoperator,
-    anticommutator,
-    commutator,
     evolve,
     expm_superop,
     heisenberg_evolve,
@@ -96,6 +93,23 @@ def test_expm_semigroup_law():
         combined = expm_superop(sup, t1 + t2).matrix
         product = expm_superop(sup, t1).matrix @ expm_superop(sup, t2).matrix
         assert np.max(np.abs(combined - product)) / max(np.max(np.abs(combined)), 1.0) < 1e-9
+
+
+def test_defective_generator_is_refused_as_ill_conditioned():
+    # A single Jordan block: trace-preserving (rows 0 and 3 vanish), but its
+    # eigenvector matrix has cond ~ 5e291, so no exponential is attempted.
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 2] = 1.0
+    sup = Superoperator(m, label="jordan")
+    assert sup.is_trace_preserving()
+    with pytest.raises(ValueError, match="jordan is too ill-conditioned"):
+        expm_superop(sup, 1.0)
+    with pytest.raises(ValueError, match="jordan is too ill-conditioned"):
+        evolve(sup, DensityMatrix2.plus(), 1.0)
+    with pytest.raises(ValueError, match="jordan is too ill-conditioned"):
+        propagate(sup, DensityMatrix2.plus(), [0.0, 1.0])
+    with pytest.raises(ValueError, match="jordan is too ill-conditioned"):
+        heisenberg_evolve(sup, PROJ_EXCITED, 1.0)
 
 
 def test_expm_rejects_negative_time():

@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import inflating_generator
-from qsatlab import adaptive
+import qsatlab
+from qsatlab import adaptive, cli
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
@@ -348,6 +352,41 @@ def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("qsatlab.cli.run_pipeline", exhausted)
     assert main(argv) == 70
     assert "qsatlab: out of memory: allocation failed" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "qsatlab":
+                built.append(self)
+
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    good = ["solve", "--input", str(sat)]
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(good) == 0
+        assert main(good) == 0
+        with pytest.raises(SystemExit) as exc:  # a bad argument after a good call
+            main(good + ["--mode", "warp"])
+        assert exc.value.code == 64
+        assert main(good) == 0  # a good call after a bad one
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert "invalid choice: 'warp'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["qsatlab", "qsatlab.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    probe = f"import sys, {module}; print('scipy' in sys.modules)"
+    src = str(Path(qsatlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_self_check(tmp_path, capsys):
