@@ -130,29 +130,20 @@ def damping_rates(g: Susceptibility) -> DampingRates:
 def damping_generator(g: Susceptibility, raw: bool = False) -> tuple[Superoperator, Superoperator]:
     """Build the (state-propagating, observable-propagating) generator pair.
 
+    The observable generator is the adjoint of the state generator, so it is
+    taken as the conjugate transpose rather than built term by term.
     raw=True keeps the single D rho D+ recycling term and full anticommutator
     coefficient; that variant is not trace-preserving and exists only for
     diagnostics.
     """
     gamma = complex(g.gamma)
     p1_left, p1_right = left_mult(PROJ_EXCITED), right_mult(PROJ_EXCITED)
-    raising = LOWERING.conj().T
-    recycle_state = sandwich(LOWERING, raising)  # rho -> D rho D+
-    recycle_obs = sandwich(raising, LOWERING)  # x -> D+ x D
-    rotation_state = 1j * gamma.imag * (p1_right - p1_left)  # i Im(g) [rho, P1]
-    rotation_obs = 1j * gamma.imag * (p1_left - p1_right)  # i Im(g) [P1, x]
-    if raw:
-        dissip_state = gamma.real * (recycle_state - p1_left - p1_right)
-        dissip_obs = gamma.real * (recycle_obs - p1_left - p1_right)
-        labels = ("damping raw state generator", "damping raw observable generator")
-    else:
-        dissip_state = gamma.real * (2.0 * recycle_state - p1_left - p1_right)
-        dissip_obs = gamma.real * (2.0 * recycle_obs - p1_left - p1_right)
-        labels = ("damping state generator", "damping observable generator")
-    return (
-        Superoperator(rotation_state + dissip_state, label=labels[0]),
-        Superoperator(rotation_obs + dissip_obs, label=labels[1]),
-    )
+    recycle = sandwich(LOWERING, LOWERING.conj().T)  # rho -> D rho D+
+    rotation = 1j * gamma.imag * (p1_right - p1_left)  # i Im(g) [rho, P1]
+    dissipation = gamma.real * ((1.0 if raw else 2.0) * recycle - p1_left - p1_right)
+    kind = "damping raw" if raw else "damping"
+    state = Superoperator(rotation + dissipation, label=f"{kind} state generator")
+    return state, Superoperator(state.matrix.conj().T, label=f"{kind} observable generator")
 
 
 def effective_hamiltonian(H: TwoLevelHamiltonian, shifted_level: int = 0) -> tuple[np.ndarray, float | None]:

@@ -41,6 +41,10 @@ _LANE_BITS = np.array(
     ],
     dtype=np.uint64,
 )
+#: The same lane patterns as Python ints, and the all-ones word.
+_LANE_MASKS = tuple(int(word) for word in _LANE_BITS)
+_ALL_LANES = (1 << 64) - 1
+_FREE = slice(None)  # an axis no literal pins
 #: An enumeration block spans at most _MAX_BLOCK_WORDS words, and all the
 #: columns its caller asks for at most _BLOCK_BYTES.
 _MAX_BLOCK_WORDS = 1 << 14
@@ -81,9 +85,6 @@ class Clause:
         """Literals sorted by variable, positive polarity first."""
         return sorted(self.literals, key=lambda l: (l.var, l.negated))
 
-    def max_var(self) -> int:
-        return max((l.var for l in self.literals), default=0)
-
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -96,7 +97,7 @@ class CnfFormula:
         clauses = tuple(clauses)
         if n < 0:
             raise ValueError(f"variable count must be >= 0, got {n}")
-        bad = max((c.max_var() for c in clauses), default=0)
+        bad = max((l.var for c in clauses for l in c.literals), default=0)
         if bad > n:
             raise ValueError(f"clause references variable {bad} > n={n}")
         object.__setattr__(self, "n", n)
@@ -152,6 +153,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     header_line = 0
     clauses: list[Clause] = []
     current: list[Literal] = []
+    interned: dict[int, Literal] = {}  # one Literal per signed integer
     clause_open_line = 0
     last_line = 0
 
@@ -189,9 +191,12 @@ def parse_dimacs(text: str) -> CnfFormula:
                 continue
             if not current:
                 clause_open_line = lineno
-            if abs(k) > n:
-                raise DimacsParseError(f"variable {abs(k)} exceeds declared n={n}", lineno)
-            current.append(Literal(abs(k), negated=k < 0))
+            lit = interned.get(k)
+            if lit is None:
+                if abs(k) > n:
+                    raise DimacsParseError(f"variable {abs(k)} exceeds declared n={n}", lineno)
+                lit = interned[k] = Literal(abs(k), negated=k < 0)
+            current.append(lit)
 
     if n is None:
         raise DimacsParseError("empty input: no 'p cnf' header found", max(last_line, 1))
@@ -216,9 +221,7 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 def is_minimal(clause: Clause) -> bool:
     """True iff no variable occurs in both polarities."""
-    positive = {l.var for l in clause if not l.negated}
-    negative = {l.var for l in clause if l.negated}
-    return not (positive & negative)
+    return len({l.var for l in clause.literals}) == len(clause.literals)
 
 
 def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
@@ -251,23 +254,26 @@ def eval_formula(formula: CnfFormula, assignment: Assignment) -> int:
 # -- brute-force counting oracle ----------------------------------------------
 
 
-def input_blocks(
-    n: int, width: int, max_vars: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _check_cap(n: int, max_vars: int) -> None:
+    if n > max_vars:
+        raise EnumerationCapError(
+            f"enumeration over 2^{n} assignments exceeds the cap of "
+            f"2^{max_vars}; raise max_vars explicitly to allow it"
+        )
+
+
+def input_blocks(n: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the 2^n assignments block by block as packed uint64 columns.
 
     Each item is (columns, live). columns has `width` rows over the block's
     words: row i-1 holds variable i, which is bit n-i of assignment
     k = 64*word + lane, and the rows from n on are zero, left to the caller.
     live marks the lanes that hold an assignment (all of them once n > 6).
-    Blocks are sized so that columns stay within _BLOCK_BYTES. Past max_vars
-    variables this raises EnumerationCapError before allocating anything.
+    Blocks are sized so that columns stay within _BLOCK_BYTES. Past
+    DEFAULT_ENUMERATION_CAP variables this raises EnumerationCapError before
+    allocating anything.
     """
-    if n > max_vars:
-        raise EnumerationCapError(
-            f"enumeration over 2^{n} assignments exceeds the cap of "
-            f"2^{max_vars}; raise max_vars explicitly to allow it"
-        )
+    _check_cap(n, DEFAULT_ENUMERATION_CAP)
     lanes = 1 << n
     # Two words at least: numpy's in-place ufuncs take a slow path on size-1 arrays.
     total_words = max(2, lanes >> 6)
@@ -289,21 +295,32 @@ def input_blocks(
         yield columns, live
 
 
-def _count_block(formula: CnfFormula, columns: np.ndarray, live: np.ndarray) -> int:
-    """Count the satisfying assignments among one block's live lanes; columns
-    holds the n inputs and room for their complements, sat and cl."""
+def _count_models(formula: CnfFormula) -> int:
+    """Satisfying assignments, counted on clause subcubes.
+
+    Axis i-1 of sat is word variable i; the lanes of a word hold the last
+    min(n, 6) variables as in _LANE_BITS. A clause is false only where all
+    its literals are: word literals pin their axes to the falsifying bit,
+    lane literals OR into one mask, and the pinned subcube is ANDed with it.
+    """
     n = formula.n
-    np.invert(columns[:n], out=columns[n : 2 * n])
-    rows = list(columns)
-    sat, cl = rows[2 * n], rows[2 * n + 1]
-    np.copyto(sat, live)
+    words = max(n - 6, 0)
+    sat = np.full((2,) * words, (1 << (1 << min(n, 6))) - 1, dtype=np.uint64)
     for clause in formula.clauses:
-        if not sat.any():
-            break
-        cl.fill(0)
-        for lit in clause:
-            cl |= rows[lit.var - 1 + n * lit.negated]
-        sat &= cl
+        index = [_FREE] * words
+        mask = 0
+        for lit in clause.literals:
+            axis = lit.var - 1
+            if axis >= words:
+                column = _LANE_MASKS[axis - n + 6]
+                mask |= column ^ _ALL_LANES if lit.negated else column
+            elif index[axis] is _FREE:
+                index[axis] = int(lit.negated)
+            else:  # v and -v: the clause holds everywhere
+                break
+        else:
+            # In place through one subscript: with n <= 6, sat[()] is a copy.
+            sat[tuple(index)] &= mask
     return int(np.bitwise_count(sat).sum())
 
 
@@ -311,13 +328,16 @@ def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CA
     """Count satisfying assignments by full enumeration of all 2^n of them.
 
     This is the reference oracle everything else is checked against: no
-    pruning, no heuristics. Clauses are evaluated on packed words, 64
-    assignments per word; the result is an exact integer and q_squared an
-    exact rational.
+    pruning, no heuristics. Every assignment keeps its own bit in one uint64
+    array, 64 per word, 2^max(n-6, 0) words (2 MiB at n = 24); each clause
+    clears the bits it falsifies, touching only the 2^(n-6-h) words its h
+    word-variable literals leave free. The result is an exact integer and
+    q_squared an exact rational. Past max_vars variables this raises
+    EnumerationCapError before allocating anything.
     """
+    _check_cap(formula.n, max_vars)
     total = 1 << formula.n
-    blocks = input_blocks(formula.n, 2 * formula.n + 2, max_vars)
-    r = sum(_count_block(formula, columns, live) for columns, live in blocks)
+    r = _count_models(formula)
     try:
         return CountSummary(r=r, total=total, q_squared=Fraction(r, total))
     except ValueError as exc:

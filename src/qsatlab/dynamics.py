@@ -63,9 +63,16 @@ def _unphysical(m: np.ndarray) -> str | None:
     trace_err = np.maximum(np.abs(traces.real - 1.0), np.abs(traces.imag))
     if np.max(trace_err) > _TRACE_TOL:
         return f"trace {complex(traces.flat[np.argmax(trace_err)])} deviates from 1 beyond 1e-12"
-    if (floor := np.linalg.eigvalsh((m + adjoint) / 2).min()) < _PSD_FLOOR:
+    if (floor := _min_eigenvalue((m + adjoint) / 2).min()) < _PSD_FLOOR:
         return f"matrix has eigenvalue {floor:.3e} below -1e-10"
     return None
+
+
+def _min_eigenvalue(h: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of each hermitian 2x2 [[a, b], [b*, d]]:
+    (a+d)/2 - hypot((a-d)/2, |b|)."""
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(h[..., 0, 1]))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,15 @@ def random_test_formula(rng: random.Random, max_n: int = 6, max_m: int = 8,
     return CnfFormula(n, clauses)
 
 
+def random_3cnf(n: int, seed: int) -> CnfFormula:
+    """Uniform random 3-CNF at the threshold ratio, m = round(4.26 n)."""
+    rng = random.Random(seed)
+    return CnfFormula(n, [
+        Clause(Literal(v, rng.random() < 0.5) for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(round(4.26 * n))
+    ])
+
+
 def all_assignments(n: int):
     for bits in itertools.product((0, 1), repeat=n):
         yield Assignment(bits)

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import all_assignments, brute_count, random_test_formula
+from conftest import all_assignments, brute_count, random_3cnf, random_test_formula
 from qsatlab.cnf import (
     Assignment,
     Clause,
@@ -216,6 +217,61 @@ def test_count_matches_independent_oracle(seed):
     assert count_satisfying(f).r == brute_count(f)
 
 
+@st.composite
+def _clause_mixes(draw, n: int) -> CnfFormula:
+    """Up to eight clauses over variables 1..n, empty and unit clauses
+    included; about a quarter also carry the complement of their first
+    literal, which makes them tautologies on a word or a lane variable."""
+    clauses = []
+    for _ in range(draw(st.integers(0, 8))):
+        variables = draw(st.lists(st.integers(1, n), max_size=4)) if n else []
+        signed = [v if draw(st.booleans()) else -v for v in variables]
+        if signed and draw(st.integers(0, 3)) == 0:
+            signed.append(-signed[0])
+        clauses.append(lits(*signed))
+    return CnfFormula(n, clauses)
+
+
+@pytest.mark.parametrize("n", range(13))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_count_matches_brute_force_across_the_lane_word_boundary(n, data):
+    formula = data.draw(_clause_mixes(n))
+    assert count_satisfying(formula).r == brute_count(formula)
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 12])
+def test_count_of_empty_unit_and_tautological_clauses(n):
+    """Variable 1 is a word variable once n > 6, variable n always a lane one."""
+    cases = {
+        (): 0,
+        (1,): 2 ** (n - 1),
+        (-n,): 2 ** (n - 1),
+        (1, -1): 2**n,
+        (n, -n): 2**n,
+        (1, -1, n): 2**n,
+        (n, -n, 1): 2**n,
+        (-1, 1, n, -n): 2**n,
+    }
+    for clause, expected in cases.items():
+        formula = CnfFormula(n, [lits(*clause)])
+        assert count_satisfying(formula).r == brute_count(formula) == expected, clause
+    tautologies_then_unit = CnfFormula(n, [lits(1, -1), lits(n, -n), lits(-1)])
+    assert count_satisfying(tautologies_then_unit).r == brute_count(tautologies_then_unit) == 2 ** (n - 1)
+    assert count_satisfying(CnfFormula(0, [])).r == 1
+
+
+def test_count_peak_memory_stays_under_one_mebibyte_at_n20():
+    formula = random_3cnf(20, 20)
+    tracemalloc.start()
+    try:
+        count_satisfying(formula)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_count_cap():
     big = CnfFormula(25, [lits(1)])
     with pytest.raises(EnumerationCapError, match="exceeds the cap"):
@@ -226,7 +282,7 @@ def test_count_cap():
 
 
 def test_count_out_of_range_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr("qsatlab.cnf._count_block", lambda formula, columns, live: 3)
+    monkeypatch.setattr("qsatlab.cnf._count_models", lambda formula: 3)
     with pytest.raises(InvariantError, match="satisfying count out of range"):
         count_satisfying(CnfFormula(1, [lits(1)]))
     with pytest.raises(ValueError, match="out of range"):

@@ -6,6 +6,7 @@ import pytest
 from conftest import PAULI_Z, anticommutator, commutator, inflating_generator
 from qsatlab.adaptive import Susceptibility, damping_closed_form, damping_generator
 from qsatlab.dynamics import (
+    _min_eigenvalue,
     DensityMatrix2,
     IDENTITY2,
     LOWERING,
@@ -153,6 +154,19 @@ def test_unphysical_evolution_is_an_invariant_error():
         propagate(inflating, DensityMatrix2.plus(), [0.0, 1000.0])  # exp(1000) overflows
     with pytest.raises(InvariantError, match="eigenvalue"):
         evolve(inflating, DensityMatrix2.plus(), 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+def test_closed_form_eigenvalue_floor_matches_eigvalsh(scale):
+    rng = np.random.default_rng(11)
+    raw = scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+    herm = (raw + np.swapaxes(raw, -1, -2).conj()) / 2
+    herm[:100, 0, 1] = herm[:100, 1, 0] = 0.0  # diagonal
+    herm[100:200, 1, 1] = herm[100:200, 0, 0]  # degenerate diagonal
+    herm[200] = np.eye(2)
+    want = np.linalg.eigvalsh(herm)[:, 0]
+    assert np.max(np.abs(_min_eigenvalue(herm) - want)) <= 1e-14 * scale
+    assert _min_eigenvalue(herm[0]).shape == ()
 
 
 def test_ground_state_is_invariant_under_damping():

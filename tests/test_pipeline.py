@@ -343,7 +343,7 @@ def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     assert "internal error: propagated state: matrix has eigenvalue" in capsys.readouterr().err
 
     with monkeypatch.context() as patch:
-        patch.setattr("qsatlab.cnf._count_block", lambda formula, columns, live: 5)
+        patch.setattr("qsatlab.cnf._count_models", lambda formula: 5)
         assert main(["solve", "--input", str(sat)]) == 70
     assert "internal error: brute-force count: satisfying count out of range" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_test_formula
+from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_3cnf, random_test_formula
 from qsatlab.cnf import Clause, CnfFormula, Literal, count_satisfying, eval_formula, lits, parse_dimacs
 from qsatlab.errors import EnumerationCapError
 from qsatlab.sat_circuit import (
@@ -198,6 +198,15 @@ def test_packed_counts_match_brute_force_on_corpus(corpus_dir):
         formula = parse_dimacs(path.read_text())
         expected = brute_count(formula)
         assert _packed_counts(formula) == (expected, expected), path.name
+
+
+def test_oracle_and_circuit_counts_agree_at_n20():
+    """The two counters share no code: clause subcubes against the gate list
+    run on packed input columns."""
+    formula = random_3cnf(20, 7)
+    r = count_satisfying(formula).r
+    assert r == count_result_ones(*build_sat_circuit(formula))
+    assert 0 < r < 2**20
 
 
 def test_count_result_ones_rejects_non_permutation_gates():
