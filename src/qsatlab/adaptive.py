@@ -13,9 +13,8 @@ coupling is diagonal and the probe merely precesses under a shifted two-level
 Hamiltonian: populations stay put and the coherence rotates periodically. SAT
 vs UNSAT is read off as damping vs oscillation of the probe.
 
-The printed master equation above carries the GKSL-normalized 2*D rho D+ term;
-the verbatim single-recycling variant (which leaks trace at rate
-Re(gamma)*rho_11) is available behind raw=True for comparison.
+The master equation above carries the GKSL-normalized 2*D rho D+ term, which
+tests/test_collision.py derives as the limit of a collision model.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ class TwoLevelHamiltonian:
     def __post_init__(self):
         if not self.E0 < self.E1:
             raise ValueError(f"need E0 < E1, got E0={self.E0}, E1={self.E1}")
-
-    @property
-    def bohr_frequency(self) -> float:
-        return float(self.E1 - self.E0)
 
 
 @dataclass(frozen=True)
@@ -127,23 +122,19 @@ def damping_rates(g: Susceptibility) -> DampingRates:
     )
 
 
-def damping_generator(g: Susceptibility, raw: bool = False) -> tuple[Superoperator, Superoperator]:
+def damping_generator(g: Susceptibility) -> tuple[Superoperator, Superoperator]:
     """Build the (state-propagating, observable-propagating) generator pair.
 
     The observable generator is the adjoint of the state generator, so it is
     taken as the conjugate transpose rather than built term by term.
-    raw=True keeps the single D rho D+ recycling term and full anticommutator
-    coefficient; that variant is not trace-preserving and exists only for
-    diagnostics.
     """
     gamma = complex(g.gamma)
     p1_left, p1_right = left_mult(PROJ_EXCITED), right_mult(PROJ_EXCITED)
     recycle = sandwich(LOWERING, LOWERING.conj().T)  # rho -> D rho D+
     rotation = 1j * gamma.imag * (p1_right - p1_left)  # i Im(g) [rho, P1]
-    dissipation = gamma.real * ((1.0 if raw else 2.0) * recycle - p1_left - p1_right)
-    kind = "damping raw" if raw else "damping"
-    state = Superoperator(rotation + dissipation, label=f"{kind} state generator")
-    return state, Superoperator(state.matrix.conj().T, label=f"{kind} observable generator")
+    dissipation = gamma.real * (2.0 * recycle - p1_left - p1_right)
+    state = Superoperator(rotation + dissipation, label="damping state generator")
+    return state, Superoperator(state.matrix.conj().T, label="damping observable generator")
 
 
 def effective_hamiltonian(H: TwoLevelHamiltonian, shifted_level: int = 0) -> tuple[np.ndarray, float | None]:

@@ -64,15 +64,13 @@ def iterate(x0: float, params: LogisticParams, steps: int) -> ChaosTrace:
     """Run the map for `steps` iterations; records x_0..x_steps."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    xs = [x0 if 0.0 <= x0 <= 1.0 else _reject(x0)]
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0={x0} outside [0, 1]")
+    xs = [x0]
     for _ in range(steps):
         xs.append(logistic_step(xs[-1], params))
     hit = next((m for m, x in enumerate(xs) if x > 0.5), None)
     return ChaosTrace(xs=tuple(xs), hit=hit)
-
-
-def _reject(x0: float) -> float:
-    raise ValueError(f"x0={x0} outside [0, 1]")
 
 
 def detect(q_squared: float, n: int, params: LogisticParams = LogisticParams()) -> ChaosVerdict:

@@ -1,8 +1,8 @@
 """Command line front end: `qsatlab solve` and `qsatlab self-check`.
 
-Exit codes follow sysexits for failures (64 usage, 65 bad data, 66 missing
-input, 70 internal); under --exit-verdict a produced verdict maps to 10 (SAT)
-or 20 (UNSAT). self-check exits 1 on any disagreement.
+Exit codes follow sysexits for failures (64 usage, 65 bad data, 66 missing or
+unreadable input, 70 internal); under --exit-verdict a produced verdict maps
+to 10 (SAT) or 20 (UNSAT). self-check exits 1 on any disagreement.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimacsParseError as exc:
         print(f"qsatlab: parse error: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input; emit turns output errors into ValueError
         print(f"qsatlab: {exc}", file=sys.stderr)
         return EX_NOINPUT
     except (EnumerationCapError, QubitCapError, ValueError) as exc:

@@ -2,10 +2,11 @@
 
 Superoperators are 4x4 matrices acting on column-stacked 2x2 matrices:
 vec([[a, b], [c, d]]) = (a, c, b, d). All builders below go through vec/unvec
-so the stacking convention cannot drift. `evolve` re-projects a state onto the
-physical set (hermitian, trace one, PSD up to tolerance); `propagate` checks a
-whole trajectory against it. Eigenvalues below -1e-10 are treated as genuine
-bugs, not noise, and raise InvariantError.
+so the stacking convention cannot drift. `propagate` computes a whole
+trajectory and `evolve` is its one-sample case; both check every state against
+the physical set (hermitian, trace one, PSD up to tolerance) and neither
+re-projects. Eigenvalues below -1e-10 are treated as genuine bugs, not noise,
+and raise InvariantError.
 """
 
 from __future__ import annotations
@@ -156,14 +157,6 @@ def expm_superop(sup: Superoperator, t: float) -> Superoperator:
     return Superoperator((v * np.exp(t * w)) @ v_inv, label=f"exp({t:g}*{sup.label or 'L'})")
 
 
-def evolve(sup: Superoperator, rho: DensityMatrix2, t: float) -> DensityMatrix2:
-    """Propagate a state: unvec(exp(tL) vec(rho)), re-projected to physical."""
-    if not sup.is_trace_preserving():
-        raise ValueError(f"generator {sup.label or repr(sup.matrix)} is not trace-preserving")
-    out = unvec(expm_superop(sup, t).matrix @ vec(rho.matrix))
-    return _project_physical(out)
-
-
 def propagate(sup: Superoperator, rho: DensityMatrix2, ts) -> np.ndarray:
     """States exp(tL) rho at every time in ts, as a (T, 2, 2) array, from the
     generator's one eigendecomposition. Nothing is re-projected: every state
@@ -182,20 +175,14 @@ def propagate(sup: Superoperator, rho: DensityMatrix2, ts) -> np.ndarray:
     return states
 
 
+def evolve(sup: Superoperator, rho: DensityMatrix2, t: float) -> DensityMatrix2:
+    """The state exp(tL) rho: propagate at the single time t."""
+    return DensityMatrix2(propagate(sup, rho, [t])[0])
+
+
 def heisenberg_evolve(sup: Superoperator, observable: Mat2, t: float) -> Mat2:
     """Propagate an observable under the dual generator; no normalization."""
     return unvec(expm_superop(sup, t).matrix @ vec(observable))
-
-
-def _project_physical(m: Mat2) -> DensityMatrix2:
-    herm = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    if w.min() < _PSD_FLOOR:
-        raise InvariantError(f"evolution produced eigenvalue {w.min():.3e} below -1e-10")
-    w = np.clip(w, 0.0, None)
-    herm = (v * w) @ v.conj().T
-    herm /= np.trace(herm).real
-    return DensityMatrix2(herm)
 
 
 @dataclass(frozen=True)

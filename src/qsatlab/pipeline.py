@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import adaptive, chaos
 from .cnf import DEFAULT_ENUMERATION_CAP, CnfFormula, CountSummary, count_satisfying, parse_dimacs
-from .errors import EnumerationCapError
+from .errors import DimacsParseError, EnumerationCapError
 from .sat_circuit import build_sat_circuit, collapse_to_qubit, count_result_ones, required_ancillas
 
 MODES = ("oracle", "statevector")
@@ -185,9 +185,12 @@ def render(report: Report, fmt: str) -> str:
 def emit(report: Report, fmt: str, path: str | Path) -> Path:
     """Write a report (json) or its amplifier trace (csv) to disk; bytes are
     deterministic for fixed inputs (the report's timing field is the one
-    varying key)."""
+    varying key). An unwritable path is a ValueError naming it."""
     out = Path(path)
-    out.write_text(render(report, fmt))
+    try:
+        out.write_text(render(report, fmt))
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -240,11 +243,15 @@ class CheckSummary:
 
 
 def read_expectation(text: str) -> bool | None:
-    """Optional 'c expect SAT|UNSAT' annotation in a DIMACS file."""
-    for line in text.splitlines():
+    """Optional 'c expect SAT|UNSAT' annotation in a DIMACS file (either word
+    in any case); any other word is a DimacsParseError."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if len(parts) >= 3 and parts[0] == "c" and parts[1] == "expect":
-            return parts[2].upper() == "SAT"
+            word = parts[2].upper()
+            if word not in ("SAT", "UNSAT"):
+                raise DimacsParseError(f"'c expect' takes SAT or UNSAT, got {parts[2]!r}", lineno)
+            return word == "SAT"
     return None
 
 

@@ -2,8 +2,8 @@
 
 Register layout: input qubits 0..n-1, work ancillas next, result qubit last.
 On every computational basis input |eps, 0...0> the circuit leaves the inputs
-in |eps> and writes eval_formula(f, eps) into the result qubit; work ancillas
-hold per-branch garbage unless built with uncompute=True.
+in |eps> and writes eval_formula(f, eps) into the result qubit; the work
+ancillas keep the intermediate clause values.
 
 Construction: a clause OR is De Morgan'd into a Toffoli chain over literal
 complements (a literal's complement is read off its input qubit, X-wrapped for
@@ -68,12 +68,8 @@ class _Value:
     invert: bool
 
 
-def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Circuit, CircuitLayout]:
-    """Build the formula-evaluation circuit out of X/CNOT/Toffoli gates only.
-
-    With uncompute=True the clause machinery is re-run in reverse after the
-    result is copied out, returning every work ancilla to |0>.
-    """
+def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
+    """Build the formula-evaluation circuit out of X/CNOT/Toffoli gates only."""
     n = formula.n
     mu = required_ancillas(formula)
     total = n + mu
@@ -94,7 +90,6 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
         circuit.append(Gate.x(layout.result_qubit))  # constant 1
         return circuit, layout
 
-    compute: list[Gate] = []
     next_work = n
 
     def fresh() -> int:
@@ -106,10 +101,10 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
     def toffoli(a: _Value, b: _Value, target: int) -> None:
         wraps = [v.qubit for v in (a, b) if v.invert]
         for q in wraps:
-            compute.append(Gate.x(q))
-        compute.append(Gate.toffoli(a.qubit, b.qubit, target))
+            circuit.append(Gate.x(q))
+        circuit.append(Gate.toffoli(a.qubit, b.qubit, target))
         for q in reversed(wraps):
-            compute.append(Gate.x(q))
+            circuit.append(Gate.x(q))
 
     def and_pair(a: _Value, b: _Value, target: int) -> None:
         # Two unit clauses may read the same input qubit: v AND v copies
@@ -118,10 +113,10 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
             toffoli(a, b, target)
         elif a.invert == b.invert:
             if a.invert:
-                compute.append(Gate.x(a.qubit))
-            compute.append(Gate.cnot(a.qubit, target))
+                circuit.append(Gate.x(a.qubit))
+            circuit.append(Gate.cnot(a.qubit, target))
             if a.invert:
-                compute.append(Gate.x(a.qubit))
+                circuit.append(Gate.x(a.qubit))
 
     def clause_value(clause: Clause) -> _Value:
         literals = clause.sorted_literals()
@@ -137,7 +132,7 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
             nxt = fresh()
             toffoli(_Value(acc, False), comp, nxt)
             acc = nxt
-        compute.append(Gate.x(acc))  # NOT(AND of complements) = clause OR
+        circuit.append(Gate.x(acc))  # NOT(AND of complements) = clause OR
         return _Value(acc, invert=False)
 
     values = [clause_value(c) for c in active]
@@ -154,20 +149,11 @@ def build_sat_circuit(formula: CnfFormula, uncompute: bool = False) -> tuple[Cir
         running = _Value(acc, False)
     assert next_work == total - 1, "ancilla accounting drifted"
 
-    copy_out: list[Gate] = []
     if running.invert:
-        copy_out.append(Gate.x(running.qubit))
-    copy_out.append(Gate.cnot(running.qubit, layout.result_qubit))
+        circuit.append(Gate.x(running.qubit))
+    circuit.append(Gate.cnot(running.qubit, layout.result_qubit))
     if running.invert:
-        copy_out.append(Gate.x(running.qubit))
-
-    for gate in compute:
-        circuit.append(gate)
-    for gate in copy_out:
-        circuit.append(gate)
-    if uncompute:
-        for gate in reversed(compute):  # X/CNOT/Toffoli are self-inverse
-            circuit.append(gate)
+        circuit.append(Gate.x(running.qubit))
     return circuit, layout
 
 

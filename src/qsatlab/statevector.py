@@ -21,7 +21,6 @@ DEFAULT_MAX_QUBITS = 26
 _NORM_TOL = 1e-10
 
 _KINDS_ARITY = {"X": 1, "H": 1, "PHASE": 1, "CNOT": 2, "TOFFOLI": 3}
-_SELF_INVERSE = {"X", "H", "CNOT", "TOFFOLI"}
 
 
 def max_qubits() -> int:
@@ -89,11 +88,6 @@ class Gate:
     def phase(cls, target: int, angle: float) -> "Gate":
         return cls("PHASE", (target,), angle=float(angle))
 
-    def inverse(self) -> "Gate":
-        if self.kind in _SELF_INVERSE:
-            return self
-        return Gate.phase(self.qubits[0], -self.angle)
-
 
 @dataclass
 class Circuit:
@@ -113,9 +107,6 @@ class Circuit:
     def append(self, gate: Gate) -> None:
         self._check(gate)
         self.gates.append(gate)
-
-    def inverse(self) -> "Circuit":
-        return Circuit(self.num_qubits, [g.inverse() for g in reversed(self.gates)])
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -55,7 +55,6 @@ def test_input_amplitudes_must_be_normalized():
 def test_hamiltonian_ordering():
     with pytest.raises(ValueError, match="E0 < E1"):
         TwoLevelHamiltonian(2, 2)
-    assert H_DEFAULT.bohr_frequency == 2.0
 
 
 def test_susceptibility_needs_positive_real_part():
@@ -143,15 +142,6 @@ def test_rates_exposed():
     assert rates.population_decay == 1.0
     assert rates.coherence_decay == 0.5
     assert rates.coherence_rotation == 2.0
-
-
-def test_raw_variant_leaks_trace_at_documented_rate():
-    raw_star, _ = damping_generator(G_UNIT, raw=True)
-    assert not raw_star.is_trace_preserving()
-    rho = DensityMatrix2.excited()
-    derivative = unvec(raw_star.matrix @ vec(rho.matrix))
-    # dTr/dt = -Re(gamma) * rho_11 for the verbatim coefficients
-    assert np.trace(derivative).real == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_closed_form_matches_generator_path():

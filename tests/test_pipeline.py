@@ -16,7 +16,7 @@ from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
 from qsatlab.corpus import write_corpus
-from qsatlab.errors import EnumerationCapError
+from qsatlab.errors import DimacsParseError, EnumerationCapError
 from qsatlab.pipeline import (
     PipelineConfig,
     read_expectation,
@@ -226,6 +226,19 @@ def test_read_expectation():
     assert read_expectation("c expect SAT\np cnf 1 0\n") is True
     assert read_expectation("c expect UNSAT\np cnf 1 0\n") is False
     assert read_expectation("p cnf 1 0\n") is None
+    assert read_expectation("c expect sat\np cnf 1 0\n") is True
+    assert read_expectation("c expect Unsat\np cnf 1 0\n") is False
+    with pytest.raises(DimacsParseError, match=r"line 2: 'c expect' takes SAT or UNSAT, got 'maybe'") as exc:
+        read_expectation("c a comment\nc expect maybe\np cnf 1 0\n")
+    assert exc.value.line == 2
+
+
+def test_self_check_refuses_unknown_expectation(tmp_path, capsys):
+    (tmp_path / "odd.cnf").write_text("c expect maybe\n" + serialize_dimacs(CnfFormula(2, [lits(1, 2)])))
+    with pytest.raises(DimacsParseError, match="got 'maybe'"):
+        self_check(tmp_path)
+    assert main(["self-check", "--corpus", str(tmp_path)]) == 65
+    assert "parse error: line 1: 'c expect' takes SAT or UNSAT" in capsys.readouterr().err
 
 
 def test_self_check_small_corpus(tmp_path):
@@ -300,6 +313,17 @@ def test_cli_error_codes(tmp_path, capsys):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "parse error" in err
+
+
+def test_cli_path_errors(tmp_path, capsys):
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    assert main(["solve", "--input", str(tmp_path)]) == 66
+    assert "Is a directory" in capsys.readouterr().err
+    assert main(["solve", "--input", str(sat), "--emit", str(tmp_path)]) == 64
+    assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+    missing_dir = tmp_path / "no" / "such" / "dir" / "rep.json"
+    assert main(["solve", "--input", str(sat), "--emit", str(missing_dir)]) == 64
+    assert f"cannot write {missing_dir}: No such file or directory" in capsys.readouterr().err
 
 
 def test_cli_rejects_clause_count_mismatch(tmp_path, capsys):

@@ -256,18 +256,6 @@ def test_post_measure_two_branch_state():
     assert projected.amps[0b11] == pytest.approx(1.0)
 
 
-def test_uncompute_restores_workspace():
-    formula = CnfFormula(3, [lits(1, -2), lits(2, 3)])
-    circuit, layout = build_sat_circuit(formula, uncompute=True)
-    out = run(circuit, prepare_uniform(3, layout.mu))
-    view = np.abs(out.amps.reshape(1 << 3, 1 << (layout.mu - 1), 2)) ** 2
-    for assignment in all_assignments(3):
-        e = assignment.to_index()
-        t = eval_formula(formula, assignment)
-        assert view[e, 0, t] == pytest.approx(2.0**-3, abs=1e-12)
-        assert view[e, 1:, :].sum() == pytest.approx(0.0, abs=1e-15)
-
-
 def test_cap_error_reports_requirements():
     wide = CnfFormula(25, [lits(*range(1, 9)), lits(*range(9, 17)), lits(*range(17, 26))])
     circuit, layout = build_sat_circuit(wide)  # the register width is not capped
