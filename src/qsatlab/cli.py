@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 
-from .errors import DimacsParseError, EnumerationCapError, QubitCapError
+from .errors import DimacsParseError
 from .pipeline import AMPLIFIERS, FORMATS, MODES, PipelineConfig, run_pipeline, self_check
 from .statevector import max_qubits
 
@@ -32,21 +32,26 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qsatlab", description="SAT decision laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="decide one DIMACS instance")
-    solve.add_argument("--input", required=True, help="DIMACS CNF file")
-    solve.add_argument("--mode", choices=MODES, default="oracle")
-    solve.add_argument("--amplifier", choices=AMPLIFIERS, default="chaos")
-    solve.add_argument("--a", type=float, default=3.71, help="logistic map parameter")
-    solve.add_argument("--gamma-re", type=float, default=1.0)
-    solve.add_argument("--gamma-im", type=float, default=0.0)
-    solve.add_argument("--e0", type=int, default=0)
-    solve.add_argument("--e1", type=int, default=2)
-    solve.add_argument("--horizon-factor", type=float, default=20.0)
-    solve.add_argument("--threshold", type=float, default=0.1)
-    solve.add_argument("--emit", default=None, help="write report/trace to this path")
-    solve.add_argument("--format", choices=FORMATS, default="json")
+    # Options the user leaves out stay out of the namespace, so every solve
+    # default comes from PipelineConfig alone.
+    solve = sub.add_parser("solve", help="decide one DIMACS instance",
+                           argument_default=argparse.SUPPRESS)
+    solve.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                       help="DIMACS CNF file")
+    solve.add_argument("--mode", choices=MODES)
+    solve.add_argument("--amplifier", choices=AMPLIFIERS)
+    solve.add_argument("--a", type=float, help="logistic map parameter")
+    solve.add_argument("--gamma-re", type=float)
+    solve.add_argument("--gamma-im", type=float)
+    solve.add_argument("--e0", type=int)
+    solve.add_argument("--e1", type=int)
+    solve.add_argument("--horizon-factor", type=float)
+    solve.add_argument("--threshold", type=float)
+    solve.add_argument("--emit", dest="emit_path", metavar="EMIT",
+                       help="write report/trace to this path")
+    solve.add_argument("--format", choices=FORMATS)
     solve.add_argument(
-        "--exit-verdict", action="store_true",
+        "--exit-verdict", action="store_true", default=False,
         help="exit 10 when SAT, 20 when UNSAT (script-friendly)",
     )
 
@@ -56,20 +61,10 @@ def build_parser() -> _Parser:
 
 
 def _run_solve(args) -> int:
-    cfg = PipelineConfig(
-        input_path=args.input,
-        mode=args.mode,
-        amplifier=args.amplifier,
-        a=args.a,
-        gamma_re=args.gamma_re,
-        gamma_im=args.gamma_im,
-        e0=args.e0,
-        e1=args.e1,
-        horizon_factor=args.horizon_factor,
-        threshold=args.threshold,
-        emit_path=args.emit,
-        format=args.format,
-    )
+    options = vars(args).copy()
+    del options["command"]
+    exit_verdict = options.pop("exit_verdict")
+    cfg = PipelineConfig(**options)
     report = run_pipeline(cfg)
     print(f"input      : {report.input_path}")
     print(f"formula    : n={report.n} m={report.m} mu={report.mu}")
@@ -81,9 +76,9 @@ def _run_solve(args) -> int:
     print(f"brute force: r={report.reference.r} -> {'SAT' if report.reference.r else 'UNSAT'}")
     if report.agreement is not None:
         print(f"agreement  : {report.agreement}")
-    if args.emit:
-        print(f"emitted    : {args.emit} ({args.format})")
-    if args.exit_verdict and report.amplifier_satisfiable is not None:
+    if cfg.emit_path:
+        print(f"emitted    : {cfg.emit_path} ({cfg.format})")
+    if exit_verdict and report.amplifier_satisfiable is not None:
         return 10 if report.amplifier_satisfiable else 20
     return 0
 
@@ -101,13 +96,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return _run_solve(args)
         return _run_self_check(args)
-    except DimacsParseError as exc:
+    except (DimacsParseError, UnicodeDecodeError) as exc:  # bad DIMACS, or not UTF-8
         print(f"qsatlab: parse error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except OSError as exc:  # unreadable input; emit turns output errors into ValueError
         print(f"qsatlab: {exc}", file=sys.stderr)
         return EX_NOINPUT
-    except (EnumerationCapError, QubitCapError, ValueError) as exc:
+    except ValueError as exc:  # usage and caps; EnumerationCapError and QubitCapError too
         print(f"qsatlab: {exc}", file=sys.stderr)
         return EX_USAGE
     except MemoryError as exc:

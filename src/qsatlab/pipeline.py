@@ -56,13 +56,24 @@ class Report:
     mu: int
     mode: str
     amplifier: str
-    q_squared_float: float
     q_squared_rational: Fraction
     verdict: "chaos.ChaosVerdict | adaptive.DynVerdict | None"
-    amplifier_satisfiable: bool | None
     reference: CountSummary
-    agreement: bool | None
     elapsed_s: float
+
+    @property
+    def q_squared_float(self) -> float:
+        return float(self.q_squared_rational)
+
+    @property
+    def amplifier_satisfiable(self) -> bool | None:
+        return None if self.verdict is None else self.verdict.satisfiable
+
+    @property
+    def agreement(self) -> bool | None:
+        """Whether the amplifier's verdict matches brute force; None without one."""
+        sat = self.amplifier_satisfiable
+        return None if sat is None else sat == (self.reference.r >= 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,10 +107,9 @@ def statevector_q_squared(formula: CnfFormula) -> Fraction:
 
 
 def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
-    """Run the selected amplifier; returns (verdict object, satisfiable or None)."""
+    """Run the selected amplifier; its verdict, or None for amplifier "none"."""
     if cfg.amplifier == "chaos":
-        verdict = chaos.detect(float(q_squared), max(n, 1), chaos.LogisticParams(cfg.a))
-        return verdict, verdict.satisfiable
+        return chaos.detect(float(q_squared), max(n, 1), chaos.LogisticParams(cfg.a))
     if cfg.amplifier == "stochastic":
         dyn = adaptive.adapt(
             adaptive.InputAmplitudes(*collapse_to_qubit(q_squared)),
@@ -110,9 +120,8 @@ def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
         classifier = adaptive.ClassifierConfig(
             horizon=horizon, dt=horizon / 400.0, threshold=cfg.threshold
         )
-        verdict = adaptive.classify(dyn, classifier)
-        return verdict, verdict.satisfiable
-    return None, None
+        return adaptive.classify(dyn, classifier)
+    return None
 
 
 def run_pipeline(cfg: PipelineConfig) -> Report:
@@ -137,12 +146,6 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
         q_exact = reference.q_squared
     else:
         q_exact = statevector_q_squared(formula)
-    q_float = float(q_exact)
-
-    verdict, amp_sat = _amplifier_verdict(cfg, q_exact, formula.n)
-    agreement = None
-    if amp_sat is not None:
-        agreement = amp_sat == (reference.r >= 1)
 
     report = Report(
         input_path=str(cfg.input_path),
@@ -151,12 +154,9 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
         mu=mu,
         mode=cfg.mode,
         amplifier=cfg.amplifier,
-        q_squared_float=q_float,
         q_squared_rational=q_exact,
-        verdict=verdict,
-        amplifier_satisfiable=amp_sat,
+        verdict=_amplifier_verdict(cfg, q_exact, formula.n),
         reference=reference,
-        agreement=agreement,
         elapsed_s=time.perf_counter() - started,
     )
     if cfg.emit_path:
@@ -201,10 +201,7 @@ def emit(report: Report, fmt: str, path: str | Path) -> Path:
 class CheckRow:
     name: str
     n: int
-    m: int
-    mu: int
     r: int
-    expected_sat: bool | None
     verdicts: dict[tuple[str, str], bool]
     issues: tuple[str, ...]
 
@@ -216,8 +213,20 @@ class CheckRow:
 @dataclass(frozen=True)
 class CheckSummary:
     rows: tuple[CheckRow, ...]
-    matrix: dict[tuple[str, str], tuple[int, int]]
-    disagreements: int
+
+    @property
+    def matrix(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """(agreeing, total) verdicts against brute force per (amplifier, mode)."""
+        cells: dict[tuple[str, str], tuple[int, int]] = {}
+        for row in self.rows:
+            for key, sat in row.verdicts.items():
+                good, total = cells.get(key, (0, 0))
+                cells[key] = (good + (sat == (row.r >= 1)), total + 1)
+        return cells
+
+    @property
+    def disagreements(self) -> int:
+        return sum(len(row.issues) for row in self.rows)
 
     @property
     def ok(self) -> bool:
@@ -244,14 +253,14 @@ class CheckSummary:
 
 def read_expectation(text: str) -> bool | None:
     """Optional 'c expect SAT|UNSAT' annotation in a DIMACS file (either word
-    in any case); any other word is a DimacsParseError."""
+    in any case); any other word, or none, is a DimacsParseError."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if len(parts) >= 3 and parts[0] == "c" and parts[1] == "expect":
-            word = parts[2].upper()
-            if word not in ("SAT", "UNSAT"):
-                raise DimacsParseError(f"'c expect' takes SAT or UNSAT, got {parts[2]!r}", lineno)
-            return word == "SAT"
+        if parts[:2] == ["c", "expect"]:
+            word = parts[2] if len(parts) > 2 else ""
+            if word.upper() not in ("SAT", "UNSAT"):
+                raise DimacsParseError(f"'c expect' takes SAT or UNSAT, got {word!r}", lineno)
+            return word.upper() == "SAT"
     return None
 
 
@@ -263,11 +272,9 @@ def self_check(corpus_dir: str | Path) -> CheckSummary:
     if not corpus:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
     rows = []
-    matrix: dict[tuple[str, str], list[int]] = {}
     for path in corpus:
         text = path.read_text()
         formula = parse_dimacs(text)
-        mu = required_ancillas(formula)
         reference = count_satisfying(formula)
         ref_sat = reference.r >= 1
         expected = read_expectation(text)
@@ -282,30 +289,11 @@ def self_check(corpus_dir: str | Path) -> CheckSummary:
         for amp in ("chaos", "stochastic"):
             for mode, q2 in q2_by_mode.items():
                 cfg = PipelineConfig(input_path=str(path), mode=mode, amplifier=amp)
-                _, amp_sat = _amplifier_verdict(cfg, q2, formula.n)
+                amp_sat = _amplifier_verdict(cfg, q2, formula.n).satisfiable
                 verdicts[(amp, mode)] = amp_sat
-                cell = matrix.setdefault((amp, mode), [0, 0])
-                cell[1] += 1
-                if amp_sat == ref_sat:
-                    cell[0] += 1
-                else:
+                if amp_sat != ref_sat:
                     issues.append(f"{amp}/{mode} says {'SAT' if amp_sat else 'UNSAT'}, "
                                   f"brute force says {'SAT' if ref_sat else 'UNSAT'}")
-        rows.append(
-            CheckRow(
-                name=path.name,
-                n=formula.n,
-                m=formula.num_clauses,
-                mu=mu,
-                r=reference.r,
-                expected_sat=expected,
-                verdicts=verdicts,
-                issues=tuple(issues),
-            )
-        )
-    disagreements = sum(len(row.issues) for row in rows)
-    return CheckSummary(
-        rows=tuple(rows),
-        matrix={k: (v[0], v[1]) for k, v in matrix.items()},
-        disagreements=disagreements,
-    )
+        rows.append(CheckRow(name=path.name, n=formula.n, r=reference.r,
+                             verdicts=verdicts, issues=tuple(issues)))
+    return CheckSummary(rows=tuple(rows))

@@ -98,11 +98,15 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
         next_work += 1
         return q
 
-    def toffoli(a: _Value, b: _Value, target: int) -> None:
-        wraps = [v.qubit for v in (a, b) if v.invert]
+    def controlled(controls: list[_Value], target: int) -> None:
+        # CNOT or Toffoli on the controls' values: X-wrap each inverted control.
+        wraps = [v.qubit for v in controls if v.invert]
         for q in wraps:
             circuit.append(Gate.x(q))
-        circuit.append(Gate.toffoli(a.qubit, b.qubit, target))
+        if len(controls) == 1:
+            circuit.append(Gate.cnot(controls[0].qubit, target))
+        else:
+            circuit.append(Gate.toffoli(controls[0].qubit, controls[1].qubit, target))
         for q in reversed(wraps):
             circuit.append(Gate.x(q))
 
@@ -110,13 +114,9 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
         # Two unit clauses may read the same input qubit: v AND v copies
         # through, v AND NOT v is constant 0 (target stays |0>).
         if a.qubit != b.qubit:
-            toffoli(a, b, target)
+            controlled([a, b], target)
         elif a.invert == b.invert:
-            if a.invert:
-                circuit.append(Gate.x(a.qubit))
-            circuit.append(Gate.cnot(a.qubit, target))
-            if a.invert:
-                circuit.append(Gate.x(a.qubit))
+            controlled([a], target)
 
     def clause_value(clause: Clause) -> _Value:
         literals = clause.sorted_literals()
@@ -127,10 +127,10 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
         # X-wrap on its input qubit, a negated literal's complement is the raw bit.
         complements = [_Value(l.var - 1, invert=not l.negated) for l in literals]
         acc = fresh()
-        toffoli(complements[0], complements[1], acc)
+        controlled(complements[:2], acc)
         for comp in complements[2:]:
             nxt = fresh()
-            toffoli(_Value(acc, False), comp, nxt)
+            controlled([_Value(acc, False), comp], nxt)
             acc = nxt
         circuit.append(Gate.x(acc))  # NOT(AND of complements) = clause OR
         return _Value(acc, invert=False)
@@ -144,16 +144,12 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
         and_pair(values[0], values[1], acc)
         for v in values[2:]:
             nxt = fresh()
-            toffoli(_Value(acc, False), v, nxt)
+            controlled([_Value(acc, False), v], nxt)
             acc = nxt
         running = _Value(acc, False)
     assert next_work == total - 1, "ancilla accounting drifted"
 
-    if running.invert:
-        circuit.append(Gate.x(running.qubit))
-    circuit.append(Gate.cnot(running.qubit, layout.result_qubit))
-    if running.invert:
-        circuit.append(Gate.x(running.qubit))
+    controlled([running], layout.result_qubit)
     return circuit, layout
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,13 +6,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import inflating_generator
 import qsatlab
-from qsatlab import adaptive, cli
+from qsatlab import adaptive, cli, pipeline
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
@@ -231,6 +233,15 @@ def test_read_expectation():
     with pytest.raises(DimacsParseError, match=r"line 2: 'c expect' takes SAT or UNSAT, got 'maybe'") as exc:
         read_expectation("c a comment\nc expect maybe\np cnf 1 0\n")
     assert exc.value.line == 2
+    with pytest.raises(DimacsParseError, match=r"line 3: 'c expect' takes SAT or UNSAT, got ''") as exc:
+        read_expectation("c a comment\nc expected SAT\nc expect  \np cnf 1 0\n")
+    assert exc.value.line == 3
+
+
+def test_self_check_refuses_bare_expectation(tmp_path, capsys):
+    (tmp_path / "bare.cnf").write_text("c expect\n" + serialize_dimacs(CnfFormula(2, [lits(1, 2)])))
+    assert main(["self-check", "--corpus", str(tmp_path)]) == 65
+    assert "parse error: line 1: 'c expect' takes SAT or UNSAT, got ''" in capsys.readouterr().err
 
 
 def test_self_check_refuses_unknown_expectation(tmp_path, capsys):
@@ -249,6 +260,29 @@ def test_self_check_small_corpus(tmp_path):
     assert summary.disagreements == 0
     assert all(total == 2 for _, total in summary.matrix.values())
     assert "agreement matrix" in summary.to_text()
+
+
+def test_self_check_matrix_counts_an_amplifier_disagreement(tmp_path, monkeypatch):
+    _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
+    _write(tmp_path, "b.cnf", CnfFormula(1, [lits(1), lits(-1)]))
+    real = pipeline._amplifier_verdict
+
+    def wrong_on_b(cfg, q_squared, n):
+        verdict = real(cfg, q_squared, n)
+        if cfg.input_path.endswith("b.cnf") and (cfg.amplifier, cfg.mode) == ("chaos", "statevector"):
+            return SimpleNamespace(satisfiable=not verdict.satisfiable)
+        return verdict
+    monkeypatch.setattr(pipeline, "_amplifier_verdict", wrong_on_b)
+    summary = self_check(tmp_path)
+    assert summary.matrix == {
+        ("chaos", "oracle"): (2, 2),
+        ("chaos", "statevector"): (1, 2),
+        ("stochastic", "oracle"): (2, 2),
+        ("stochastic", "statevector"): (2, 2),
+    }
+    assert summary.disagreements == 1 and not summary.ok
+    assert summary.rows[1].issues == ("chaos/statevector says SAT, brute force says UNSAT",)
+    assert "  chaos      statevector  1/2" in summary.to_text()
 
 
 def test_self_check_catches_mislabeled_expectation(tmp_path):
@@ -313,6 +347,39 @@ def test_cli_error_codes(tmp_path, capsys):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "self-check"])
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bom.cnf"
+    bad.write_bytes(b"\xff\xfep cnf 1 1\n1 0\n")
+    argv = ["solve", "--input", str(bad)] if command == "solve" else ["self-check", "--corpus", str(tmp_path)]
+    assert main(argv) == 65
+    assert "parse error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+def test_cli_solve_takes_every_default_from_pipeline_config(monkeypatch, capsys):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise MemoryError  # stop before anything is read
+    monkeypatch.setattr("qsatlab.cli.run_pipeline", capture)
+    assert main(["solve", "--input", "x.cnf"]) == 70
+    assert main(["solve", "--input", "x.cnf", "--mode", "statevector", "--amplifier", "stochastic",
+                 "--a", "3.9", "--gamma-re", "1.5", "--gamma-im", "0.25", "--e0", "1", "--e1", "4",
+                 "--horizon-factor", "15", "--threshold", "0.2", "--emit", "out.csv", "--format", "csv",
+                 "--exit-verdict"]) == 70
+    assert seen[0] == PipelineConfig(input_path="x.cnf")
+    explicit = PipelineConfig(
+        input_path="x.cnf", mode="statevector", amplifier="stochastic", a=3.9, gamma_re=1.5,
+        gamma_im=0.25, e0=1, e1=4, horizon_factor=15.0, threshold=0.2, emit_path="out.csv", format="csv",
+    )
+    for field in dataclasses.fields(PipelineConfig):
+        got, want = getattr(seen[1], field.name), getattr(explicit, field.name)
+        assert got == want and type(got) is type(want), field.name
+        if field.name != "input_path":  # the command line above moves every option off its default
+            assert got != getattr(seen[0], field.name), field.name
 
 
 def test_cli_path_errors(tmp_path, capsys):
