@@ -73,8 +73,8 @@ class Susceptibility:
     gamma: complex = 1.0
 
     def __post_init__(self):
-        if not complex(self.gamma).real > 0:
-            raise ValueError(f"Re(gamma) must be positive, got {self.gamma}")
+        if not (cmath.isfinite(self.gamma) and complex(self.gamma).real > 0):
+            raise ValueError(f"gamma must be finite with a positive real part, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,16 @@ def iterate(x0: float, params: LogisticParams, steps: int) -> ChaosTrace:
 
 
 def detect(q_squared: float, n: int, params: LogisticParams = LogisticParams()) -> ChaosVerdict:
-    """Decide SAT by threshold crossing within 2n steps from x_0 = q^2."""
+    """Decide SAT by threshold crossing within 2n steps from x_0 = q^2.
+
+    While x <= 1/2, x_{m+1} >= (a/2)*x_m, so for a > 2 any x_0 >= 2^-n crosses
+    within floor((n-1)/log2(a/2)) + 1 steps: at most 2n - 1 for every n iff
+    a >= 2*sqrt(2). Smaller a raises ValueError (for a <= 2 nothing crosses)."""
     if n < 1:
         raise ValueError(f"variable count n={n} must be >= 1")
+    if params.a < 2 * math.sqrt(2):
+        raise ValueError(f"a={params.a} is below 2*sqrt(2): for a > 2, x_0 >= 2^-n crosses 1/2 within "
+                         "floor((n-1)/log2(a/2)) + 1 steps, inside 2n for every n only from a = 2*sqrt(2) up")
     if not 0.0 <= q_squared <= 1.0:
         raise ValueError(f"q_squared={q_squared} outside [0, 1]")
     window = 2 * n
@@ -91,7 +98,8 @@ def detect(q_squared: float, n: int, params: LogisticParams = LogisticParams()) 
 
 
 def theoretical_lower_bound(n: int, a: float) -> float:
-    """(n-1)/log2(a): no crossing from x_0 = 2^-n can happen earlier."""
+    """(n-1)/log2(a): no crossing from x_0 = 2^-n can happen earlier. The
+    paper's figure, it bounds r = 1 only: x_0 = r/2^n may cross at once."""
     if a <= 1.0:
         raise ValueError(f"lower bound needs a > 1, got a={a}")
     return (n - 1) / math.log2(a)

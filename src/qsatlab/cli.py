@@ -13,7 +13,6 @@ import sys
 
 from .errors import DimacsParseError
 from .pipeline import AMPLIFIERS, FORMATS, MODES, PipelineConfig, run_pipeline, self_check
-from .statevector import max_qubits
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -92,7 +91,6 @@ def _run_self_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        max_qubits()  # a bad QSAT_MAX_QUBITS is a usage error in every command
         if args.command == "solve":
             return _run_solve(args)
         return _run_self_check(args)

@@ -14,6 +14,7 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -45,10 +46,6 @@ _LANE_BITS = np.array(
 _LANE_MASKS = tuple(int(word) for word in _LANE_BITS)
 _ALL_LANES = (1 << 64) - 1
 _FREE = slice(None)  # an axis no literal pins
-#: An enumeration block spans at most _MAX_BLOCK_WORDS words, and all the
-#: columns its caller asks for at most _BLOCK_BYTES.
-_MAX_BLOCK_WORDS = 1 << 14
-_BLOCK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, order=True)
@@ -262,37 +259,23 @@ def _check_cap(n: int, max_vars: int) -> None:
         )
 
 
-def input_blocks(n: int, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the 2^n assignments block by block as packed uint64 columns.
+def live_lanes(n: int) -> int:
+    """The lanes of a word that hold one of the 2^n assignments: all 64 once n >= 6."""
+    return (1 << (1 << min(n, 6))) - 1
 
-    Each item is (columns, live). columns has `width` rows over the block's
-    words: row i-1 holds variable i, which is bit n-i of assignment
-    k = 64*word + lane, and the rows from n on are zero, left to the caller.
-    live marks the lanes that hold an assignment (all of them once n > 6).
-    Blocks are sized so that columns stay within _BLOCK_BYTES. Past
-    DEFAULT_ENUMERATION_CAP variables this raises EnumerationCapError before
-    allocating anything.
-    """
+
+@functools.cache
+def input_columns(n: int) -> tuple[np.ndarray | np.uint64, ...]:
+    """Each variable's value under all 2^n assignments in the oracle's layout,
+    shared and read-only: word variable i is [0, ~0] along axis i-1 alone, a
+    lane variable its _LANE_BITS word. Past DEFAULT_ENUMERATION_CAP variables
+    this raises EnumerationCapError."""
     _check_cap(n, DEFAULT_ENUMERATION_CAP)
-    lanes = 1 << n
-    # Two words at least: numpy's in-place ufuncs take a slow path on size-1 arrays.
-    total_words = max(2, lanes >> 6)
-    words = min(total_words, _MAX_BLOCK_WORDS, max(1, _BLOCK_BYTES // (8 * width)))
-    low = min(n, 6)
-    for lo in range(0, total_words, words):
-        size = min(words, total_words - lo)
-        columns = np.zeros((width, size), dtype=np.uint64)
-        columns[n - low : n] = _LANE_BITS[6 - low :, None]
-        if n > 6:  # variables 1..n-6 are bits n-7..0 of the word index
-            shifts = np.arange(n - 7, -1, -1)[:, None]
-            columns[: n - 6] = np.negative((np.arange(lo, lo + size) >> shifts) & 1)
-            live = np.full(size, ~np.uint64(0))
-        else:
-            live = np.array(
-                [(1 << min(64, max(0, lanes - 64 * w))) - 1 for w in range(lo, lo + size)],
-                dtype=np.uint64,
-            )
-        yield columns, live
+    words = max(n - 6, 0)
+    pattern = np.array([0, _ALL_LANES], dtype=np.uint64)
+    pattern.flags.writeable = False  # every word column is a view of it
+    return (*(pattern.reshape([1] * i + [2] + [1] * (words - 1 - i)) for i in range(words)),
+            *_LANE_BITS[6 - min(n, 6) :])
 
 
 def _count_models(formula: CnfFormula) -> int:
@@ -305,7 +288,7 @@ def _count_models(formula: CnfFormula) -> int:
     """
     n = formula.n
     words = max(n - 6, 0)
-    sat = np.full((2,) * words, (1 << (1 << min(n, 6))) - 1, dtype=np.uint64)
+    sat = np.full((2,) * words, live_lanes(n), dtype=np.uint64)
     for clause in formula.clauses:
         index = [_FREE] * words
         mask = 0

@@ -14,8 +14,9 @@ empty clause makes the formula constant 0 and the build degenerates to an
 idle circuit.
 
 Since the gate set only permutes basis states, count_result_ones reads the
-exact satisfying count off the circuit itself, bit-sliced: one packed uint64
-column per qubit over a block of inputs, 64 inputs per word, no dense state.
+exact satisfying count off the circuit itself, bit-sliced and without a dense
+state: each qubit holds its value under every input in the oracle's packed
+layout (cnf.input_columns), spanning only the input variables it depends on.
 Only the number of inputs is capped (as for the brute-force count), not the
 register width.
 """
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, filter_minimal, input_blocks
+from .cnf import Clause, CnfFormula, filter_minimal, input_columns, live_lanes
 from .statevector import Circuit, Gate, StateVector
 
 
@@ -157,23 +158,31 @@ def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
     """Number of inputs eps whose result qubit reads 1 after the circuit acts
     on |eps, 0...0>; 2^n * q^2 exactly. Only X/CNOT/Toffoli are accepted,
     since H and PHASE do not map basis states to basis states. Raises
-    EnumerationCapError past 2^DEFAULT_ENUMERATION_CAP inputs."""
-    count = 0
-    for columns, live in input_blocks(layout.n_input, circuit.num_qubits + 1):
-        cols = list(columns)
-        scratch = cols[-1]
-        for gate in circuit.gates:
-            *controls, t = gate.qubits
-            if gate.kind == "X":
-                np.invert(cols[t], out=cols[t])
-            elif gate.kind == "CNOT":
-                cols[t] ^= cols[controls[0]]
-            elif gate.kind == "TOFFOLI":
-                cols[t] ^= np.bitwise_and(cols[controls[0]], cols[controls[1]], out=scratch)
-            else:
-                raise ValueError(f"{gate.kind} is not a basis permutation")
-        count += int(np.bitwise_count(cols[layout.result_qubit] & live).sum())
-    return count
+    EnumerationCapError past 2^DEFAULT_ENUMERATION_CAP inputs.
+
+    Values are never written in place, so qubits share read-only starting
+    values and broadcasting widens a value only along the variables it comes
+    to depend on; a control's value is dropped after its last use."""
+    n = layout.n_input
+    zero = np.uint64(0)
+    values = [*input_columns(n), *[zero] * layout.mu]
+    last_use = {q: i for i, gate in enumerate(circuit.gates) for q in gate.qubits}
+    last_use[layout.result_qubit] = len(circuit.gates)  # read after the last gate
+    for i, gate in enumerate(circuit.gates):
+        *controls, t = gate.qubits
+        if gate.kind == "X":
+            values[t] = ~values[t]
+        elif gate.kind in ("CNOT", "TOFFOLI"):
+            operand = values[controls[0]] if len(controls) == 1 else values[controls[0]] & values[controls[1]]
+            values[t] = operand if values[t] is zero else values[t] ^ operand
+        else:
+            raise ValueError(f"{gate.kind} is not a basis permutation")
+        for c in controls:
+            if last_use[c] == i:
+                values[c] = None
+    result = values[layout.result_qubit]
+    ones = int(np.bitwise_count(result & live_lanes(n)).sum())
+    return ones * (1 << max(n - 6, 0)) // result.size  # axes of size 1 span both values
 
 
 def _result_bit_view(state: StateVector, layout: CircuitLayout) -> np.ndarray:

@@ -85,6 +85,25 @@ def test_threshold_crossing_for_small_counts():
             assert verdict.satisfiable and verdict.m_hit <= 2 * n
 
 
+@pytest.mark.parametrize("a", [2 * math.sqrt(2), 3.0, 3.71, 4.0])
+def test_every_dyadic_start_crosses_within_the_certified_bound(a):
+    """Every x_0 = k/2^n, n <= 12, crosses within min(2n, floor((n-1)/log2(a/2)) + 1)
+    steps, and no earlier than (n-1-log2 k)/log2(a), since x_m <= a^m x_0."""
+    params = LogisticParams(a)
+    for n in range(1, 13):
+        bound = min(2 * n, math.floor((n - 1) / math.log2(a / 2)) + 1)
+        for k in range(1, 2**n + 1):
+            verdict = detect(k / 2**n, n, params)
+            assert verdict.satisfiable and verdict.m_hit <= bound, (n, k)
+            assert verdict.m_hit >= (n - 1 - math.log2(k)) / math.log2(a), (n, k)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 2.5, 2 * math.sqrt(2) - 1e-9])
+def test_detect_refuses_an_uncertified_window(a):
+    with pytest.raises(ValueError, match=r"below 2\*sqrt\(2\)"):
+        detect(2.0**-8, 8, LogisticParams(a))
+
+
 def test_crossing_index_is_stable_at_extended_precision():
     # float64 iterates must find the same first crossing as 60-digit arithmetic
     with mpmath.workdps(60):

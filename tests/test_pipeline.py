@@ -28,6 +28,7 @@ from qsatlab.pipeline import (
     statevector_q_squared,
 )
 from qsatlab.sat_circuit import required_ancillas
+from qsatlab.statevector import prepare_uniform
 
 
 SATLIB_FIXTURE = Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf"
@@ -405,24 +406,43 @@ def test_cli_solves_satlib_file_with_end_marker(capsys):
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
-def test_cli_rejects_invalid_qubit_cap(tmp_path, capsys, monkeypatch, raw):
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+def test_cli_rejects_invalid_qubit_cap(monkeypatch, raw):
+    """QSAT_MAX_QUBITS bounds dense states, so the dense simulator is what
+    refuses a bad value."""
     monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
-    assert main(["solve", "--input", str(sat), "--mode", "statevector"]) == 64
-    assert "QSAT_MAX_QUBITS must be an integer >= 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="QSAT_MAX_QUBITS must be an integer >= 1"):
+        prepare_uniform(1, 0)
 
 
 @pytest.mark.parametrize("command", ["oracle", "self-check"])
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_cli_rejects_invalid_qubit_cap_in_every_command(tmp_path, capsys, monkeypatch, raw, command):
+    """No command builds a dense state, so none reads QSAT_MAX_QUBITS: with a
+    bad value, or a cap of one qubit, each still decides."""
     sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
     monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
     if command == "self-check":
-        argv = ["self-check", "--corpus", str(tmp_path)]
+        assert main(["self-check", "--corpus", str(tmp_path)]) == 0
     else:
-        argv = ["solve", "--input", str(sat), "--mode", command]
-    assert main(argv) == 64
-    assert "QSAT_MAX_QUBITS must be an integer >= 1" in capsys.readouterr().err
+        assert main(["solve", "--input", str(sat), "--mode", command, "--exit-verdict"]) == 10
+    monkeypatch.setenv("QSAT_MAX_QUBITS", "1")
+    assert main(["solve", "--input", str(sat), "--mode", "statevector", "--exit-verdict"]) == 10
+    assert "QSAT_MAX_QUBITS" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--gamma-re", "--gamma-im"])
+def test_cli_refuses_infinite_gamma_up_front(tmp_path, capsys, option):
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    assert main(["solve", "--input", str(sat), "--amplifier", "stochastic", option, "inf"]) == 64
+    err = capsys.readouterr().err
+    assert "gamma must be finite" in err
+    assert "RuntimeWarning" not in err
+
+
+def test_cli_refuses_a_chaos_window_it_cannot_certify(capsys, corpus_dir):
+    """At a = 2 the needle never crosses 1/2: refused, not reported UNSAT."""
+    assert main(["solve", "--input", str(corpus_dir / "15_needle_n12.cnf"), "--a", "2"]) == 64
+    assert "below 2*sqrt(2)" in capsys.readouterr().err
 
 
 def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -148,11 +149,39 @@ def test_count_result_ones_matches_dense_and_brute_force(seed):
     assert abs(dense - count / 2**formula.n) < 1e-10
 
 
-def test_count_result_ones_across_blocks(monkeypatch):
-    monkeypatch.setattr("qsatlab.cnf._MAX_BLOCK_WORDS", 1)
-    formula = CnfFormula(8, [lits(1, -2, 3), lits(-1, 4), lits(2, 5, -6), lits(-3, -5), lits(7, -8)])
+def _count_peak_bytes(formula: CnfFormula) -> tuple[int, int]:
+    """The circuit count and the tracemalloc peak of counting alone."""
     circuit, layout = build_sat_circuit(formula)
-    assert count_result_ones(circuit, layout) == brute_count(formula)
+    tracemalloc.start()
+    try:
+        count = count_result_ones(circuit, layout)
+        return count, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_result_ones_spans_only_the_variables_it_reads():
+    """A formula over the six lane variables of n = 24 never widens a value
+    past one word: the count runs in a few KiB, not the 2 MiB of all 2^24
+    inputs."""
+    clauses = [(19, -20, 21), (-19, 22), (23, -24), (-21, -22, 24), (20, 23)]
+    formula = CnfFormula(24, [lits(*c) for c in clauses])
+    count, peak = _count_peak_bytes(formula)
+    assert peak < 64 * 1024
+    lanes = CnfFormula(6, [lits(*(k - 18 if k > 0 else k + 18 for k in c)) for c in clauses])
+    assert count == count_satisfying(formula).r == brute_count(lanes) << 18
+
+
+def test_threshold_count_matches_oracle_in_little_memory():
+    """Random 3-CNF at ratio 4.26: the circuit count equals the oracle at the
+    enumeration cap, and at n = 20 it peaks under 2 MiB (one 2^20-bit array
+    for each of its 275 qubits would take 34 MiB)."""
+    formula = random_3cnf(24, 1)
+    assert count_result_ones(*build_sat_circuit(formula)) == count_satisfying(formula).r == 35
+    formula = random_3cnf(20, 7)
+    count, peak = _count_peak_bytes(formula)
+    assert count == count_satisfying(formula).r
+    assert peak < 2 * 2**20
 
 
 def _formula_over(n: int, rng: random.Random, max_m: int = 8) -> CnfFormula:
@@ -176,13 +205,11 @@ def test_packed_counts_mask_unused_lanes(n, seed):
     assert _packed_counts(formula) == (expected, expected)
 
 
-@given(st.integers(7, 10), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_packed_counts_across_blocks(n, block_words, seed):
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_packed_counts_agree_up_to_n12(n, seed):
     formula = _formula_over(n, random.Random(seed), max_m=12)
     expected = brute_count(formula)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("qsatlab.cnf._MAX_BLOCK_WORDS", block_words)
-        assert _packed_counts(formula) == (expected, expected)
+    assert _packed_counts(formula) == (expected, expected)
 
 
 @given(st.integers(0, 2**32 - 1))
