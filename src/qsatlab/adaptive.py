@@ -20,6 +20,7 @@ tests/test_collision.py derives as the limit of a collision model.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -226,12 +227,17 @@ class DynVerdict:
         return {"satisfiable": self.satisfiable, "damped": self.damped,
                 "tail_mean": self.tail_mean, "fitted_rate": self.fitted_rate}
 
-    def trace_rows(self) -> tuple[str, list[str]]:
-        """CSV header and rows of the sampled probe trajectory."""
-        return "t,p1,coh_abs,coh_phase", [",".join(map(repr, row)) for row in self.trajectory.tolist()]
+    @functools.cached_property
+    def csv(self) -> str:
+        """The sampled probe trajectory as CSV text, rendered on first read."""
+        rows = [",".join(map(repr, row)) for row in self.trajectory.tolist()]
+        return "\n".join(["t,p1,coh_abs,coh_phase"] + rows) + "\n"
 
 
-def fit_exponential_rate(ts, ys, floor: float = 1e-280) -> float:
+FIT_FLOOR = 1e-280  # samples at or below it are left out of the rate fit
+
+
+def fit_exponential_rate(ts, ys, floor: float = FIT_FLOOR) -> float:
     """Decay constant from a log-linear least-squares fit of ys ~ exp(-r t)."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -240,6 +246,37 @@ def fit_exponential_rate(ts, ys, floor: float = 1e-280) -> float:
         raise ValueError("need at least two positive samples to fit a rate")
     slope, _ = np.polyfit(ts[mask], np.log(ys[mask]), 1)
     return float(-slope)
+
+
+SAMPLE_STEPS = 400  # steps of the pipeline's classifier over its horizon
+
+
+def classifier_for(g: Susceptibility, horizon_factor: float, threshold: float) -> ClassifierConfig:
+    """The classifier that samples [0, hf / Re(gamma)] in N = SAMPLE_STEPS
+    steps, hf being horizon_factor; ValueError where its readout cannot be
+    trusted. On the damping branch p1(t) = p1(0) exp(-2 Re(gamma) t), p1(0) = 1/2:
+    - The tail starts at Re(gamma) t = hf/2, where p1 = p1(0) e^-hf, and its
+      mean lies below that, so damping is certified iff e^-hf < threshold,
+      that is hf > ln(1/threshold). The coherent branch keeps p1 = p1(0).
+    - The rate fit keeps samples k <= K with p1 > FIT_FLOOR, i.e.
+      K = min(N, ceil(N ln(p1(0)/FIT_FLOOR) / (2 hf)) - 1), and polyfit
+      divides their times by sqrt(sum (k dt)^2). That norm leaves the float
+      range when K < 1, when (K dt)^2 underflows to 0 or when the sum
+      overflows; at hf = 20 that keeps 1.73e-152 < Re(gamma) < 1.27e163.
+    Both refusals hold for the configuration, whichever branch an input selects.
+    """
+    horizon = horizon_factor / g.gamma.real
+    cfg = ClassifierConfig(horizon=horizon, dt=horizon / SAMPLE_STEPS, threshold=threshold)
+    if not horizon_factor > math.log(1.0 / threshold):
+        raise ValueError(f"horizon factor {horizon_factor} must exceed ln(1/threshold) = "
+                         f"{math.log(1.0 / threshold)!r} to certify damping")
+    span = math.log(cfg.probe.p1 / FIT_FLOOR)  # 2 Re(gamma) t at which p1 reaches the floor
+    kept = min(SAMPLE_STEPS, math.ceil(SAMPLE_STEPS * span / (2 * horizon_factor)) - 1)
+    last = kept * cfg.dt
+    if kept < 1 or last * last == 0 or last * last * ((kept + 1) * (2 * kept + 1) / (6 * kept)) == math.inf:
+        raise ValueError(f"Re(gamma)={g.gamma.real!r} with horizon factor {horizon_factor}: the rate fit "
+                         f"needs two samples above {FIT_FLOOR} and squared times inside the float range")
+    return cfg
 
 
 def classify(dyn: AdaptiveDynamics, cfg: ClassifierConfig = ClassifierConfig()) -> DynVerdict:

@@ -9,6 +9,7 @@ since x_m <= x_0 * a^m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,9 +50,10 @@ class ChaosVerdict:
         return {"satisfiable": self.satisfiable, "m_hit": self.m_hit,
                 "window": self.window, "lower_bound": self.lower_bound}
 
-    def trace_rows(self) -> tuple[str, list[str]]:
-        """CSV header and rows of the iterates x_0..x_window."""
-        return "m,x_m", [f"{m},{x!r}" for m, x in enumerate(self.trace.xs)]
+    @functools.cached_property
+    def csv(self) -> str:
+        """The iterates x_0..x_window as CSV text, rendered on first read."""
+        return "\n".join(["m,x_m"] + [f"{m},{x!r}" for m, x in enumerate(self.trace.xs)]) + "\n"
 
 
 def logistic_step(x: float, params: LogisticParams) -> float:

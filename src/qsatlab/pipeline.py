@@ -8,6 +8,7 @@ evaluates it as a permutation of the basis inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -106,21 +107,42 @@ def statevector_q_squared(formula: CnfFormula) -> Fraction:
     return Fraction(count_result_ones(circuit, layout), 1 << formula.n)
 
 
+# Entries of the stochastic memo. The traffic needs few: self-check meets 3
+# configurations and a stochastic_trace benchmark run 8. One entry is a
+# 401 x 4 float64 trajectory (12.8 KB) and, once emitted, its CSV text (at
+# most 40.1 KB: a float's repr takes at most 24 characters, a row at most
+# 100), so 16 entries hold at most about 0.9 MB.
+STOCHASTIC_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=STOCHASTIC_MEMO_SIZE)
+def _stochastic_verdict(alpha0_zero: bool, alpha1_zero: bool, e0: int, e1: int, gamma: complex,
+                        horizon_factor: float, threshold: float) -> adaptive.DynVerdict:
+    """The stochastic verdict of one configuration, decided once per process.
+
+    Its key is all that adapt and classify read: q^2 enters only through
+    adapt's exact zero tests on the amplitudes, so any input of the branch
+    stands for all. Reports share the verdict, which is frozen with a
+    read-only trajectory. A refused configuration raises and stores nothing."""
+    g = adaptive.Susceptibility(gamma)
+    classifier = adaptive.classifier_for(g, horizon_factor, threshold)
+    branch_q2 = 1.0 if alpha0_zero else 0.0 if alpha1_zero else 0.5
+    dyn = adaptive.adapt(
+        adaptive.InputAmplitudes(*collapse_to_qubit(branch_q2)),
+        adaptive.TwoLevelHamiltonian(e0, e1),
+        g,
+    )
+    return adaptive.classify(dyn, classifier)
+
+
 def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
     """Run the selected amplifier; its verdict, or None for amplifier "none"."""
     if cfg.amplifier == "chaos":
         return chaos.detect(float(q_squared), max(n, 1), chaos.LogisticParams(cfg.a))
     if cfg.amplifier == "stochastic":
-        dyn = adaptive.adapt(
-            adaptive.InputAmplitudes(*collapse_to_qubit(q_squared)),
-            adaptive.TwoLevelHamiltonian(cfg.e0, cfg.e1),
-            adaptive.Susceptibility(complex(cfg.gamma_re, cfg.gamma_im)),
-        )
-        horizon = cfg.horizon_factor / cfg.gamma_re
-        classifier = adaptive.ClassifierConfig(
-            horizon=horizon, dt=horizon / 400.0, threshold=cfg.threshold
-        )
-        return adaptive.classify(dyn, classifier)
+        alpha0, alpha1 = collapse_to_qubit(q_squared)
+        return _stochastic_verdict(alpha0 == 0, alpha1 == 0, cfg.e0, cfg.e1,
+                                   complex(cfg.gamma_re, cfg.gamma_im), cfg.horizon_factor, cfg.threshold)
     return None
 
 
@@ -177,8 +199,7 @@ def render(report: Report, fmt: str) -> str:
     if fmt == "csv":
         if report.verdict is None:
             raise ValueError("report has no amplifier trace to emit as CSV")
-        header, rows = report.verdict.trace_rows()
-        return "\n".join([header] + rows) + "\n"
+        return report.verdict.csv
     raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
 from qsatlab.corpus import write_corpus
-from qsatlab.errors import DimacsParseError, EnumerationCapError
+from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
 from qsatlab.pipeline import (
     PipelineConfig,
     read_expectation,
@@ -209,6 +210,85 @@ def test_verdict_blocks_and_trace_headers(tmp_path):
     for row in rows:
         cells = row.split(",")
         assert len(cells) == 4 and all(repr(float(cell)) == cell for cell in cells)
+
+
+# -- stochastic memo ---------------------------------------------------------------
+
+
+@pytest.fixture
+def memo():
+    """The stochastic memo, emptied before the test."""
+    pipeline._stochastic_verdict.cache_clear()
+    return pipeline._stochastic_verdict
+
+
+def _stochastic(q_squared, **options):
+    cfg = PipelineConfig(input_path="unused.cnf", amplifier="stochastic", **options)
+    return pipeline._amplifier_verdict(cfg, q_squared, 2)
+
+
+def test_damping_inputs_with_different_counts_share_one_verdict(tmp_path, memo):
+    three = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    two = _write(tmp_path, "unit.cnf", CnfFormula(2, [lits(1)]))
+    a = run_pipeline(PipelineConfig(input_path=str(three), amplifier="stochastic"))
+    b = run_pipeline(PipelineConfig(input_path=str(two), amplifier="stochastic"))
+    assert (a.reference.r, b.reference.r) == (3, 2)
+    assert a.verdict is b.verdict
+    assert render(a, "csv") == render(b, "csv")
+    assert json.loads(render(a, "json"))["amplifier"] == json.loads(render(b, "json"))["amplifier"]
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"gamma_re": 1.5}, {"gamma_im": 0.25}, {"e0": 1, "e1": 4}, {"e1": 3},
+    {"horizon_factor": 15.0}, {"threshold": 0.2},
+])
+def test_every_key_field_misses_the_memo(memo, change):
+    base = _stochastic(Fraction(3, 4))
+    other = _stochastic(Fraction(3, 4), **change)
+    assert other is not base
+    assert memo.cache_info().misses == 2 and memo.cache_info().currsize == 2
+    assert _stochastic(Fraction(3, 4), **change) is other
+
+
+def test_each_branch_takes_one_entry(memo):
+    empty, full = _stochastic(Fraction(0)), _stochastic(Fraction(1))
+    damped = _stochastic(Fraction(1, 4))
+    assert _stochastic(Fraction(3, 4)) is damped
+    assert (empty.satisfiable, damped.satisfiable, full.satisfiable) == (False, True, True)
+    assert memo.cache_info().currsize == 3 and memo.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("q_squared", [Fraction(0), Fraction(1, 4)])
+def test_signed_zero_im_gamma_emits_the_same_bytes(memo, q_squared):
+    negative = _stochastic(q_squared, gamma_im=-0.0)
+    memo.cache_clear()
+    positive = _stochastic(q_squared, gamma_im=0.0)
+    assert negative is not positive
+    assert negative.csv == positive.csv
+    assert json.dumps(negative.summary()) == json.dumps(positive.summary())
+
+
+def test_memo_never_exceeds_its_bound(memo):
+    for k in range(pipeline.STOCHASTIC_MEMO_SIZE + 4):
+        _stochastic(Fraction(1, 2), gamma_re=1.0 + k / 8)
+        assert memo.cache_info().currsize <= pipeline.STOCHASTIC_MEMO_SIZE
+    assert memo.cache_info().currsize == pipeline.STOCHASTIC_MEMO_SIZE
+
+
+def test_memo_keeps_no_invariant_error(memo, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(adaptive, "damping_generator", lambda g: (inflating_generator(), inflating_generator()))
+        with pytest.raises(InvariantError):
+            _stochastic(Fraction(1, 2))
+    assert memo.cache_info().currsize == 0
+    assert _stochastic(Fraction(1, 2)).satisfiable
+    assert memo.cache_info().misses == 2
+
+
+def test_self_check_decides_three_stochastic_configurations(memo, corpus_dir):
+    assert self_check(corpus_dir).ok
+    assert memo.cache_info().misses == 3 and memo.cache_info().hits == 85
 
 
 def test_render_rejects_invalid_combinations(tmp_path):
@@ -439,6 +519,60 @@ def test_cli_refuses_infinite_gamma_up_front(tmp_path, capsys, option):
     assert "RuntimeWarning" not in err
 
 
+def _decide_or_refuse(capfd, paths, *options):
+    """Solve a SAT and an UNSAT file; each gives the right verdict with a clean
+    stderr, or both exit 64 with the one-line refusal alone. Read at the file
+    descriptors, since LAPACK writes there; stdout holds the report alone.
+    True when they were decided."""
+    codes = []
+    for path, verdict in zip(paths, (10, 20)):
+        code = main(["solve", "--input", str(path), "--amplifier", "stochastic", "--exit-verdict", *options])
+        out, err = capfd.readouterr()
+        assert all(line[11:13] == ": " for line in out.splitlines()), out
+        assert code in (verdict, 64), (options, code, err)
+        refusal = err.startswith("qsatlab: ") and err.count("\n") == 1
+        assert err == "" if code == verdict else refusal, err
+        codes.append(code)
+    assert (codes[0] == 64) == (codes[1] == 64), (options, codes)  # refused as a configuration
+    return codes[0] != 64
+
+
+@pytest.fixture
+def sat_and_unsat(tmp_path):
+    return (_write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)])),
+            _write(tmp_path, "unsat.cnf", CnfFormula(1, [lits(1), lits(-1)])))
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.1, 1e-3, 1e-10, 1e-100, 1e-300])
+def test_horizon_factor_refused_unless_it_certifies_damping(capfd, sat_and_unsat, threshold):
+    """Damping is certified iff hf > ln(1/threshold); at or below it, exit 64."""
+    bound = math.log(1 / threshold)
+    below = [bound, math.nextafter(bound, 0), 0.99 * bound, 0.5 * bound, 1e-300]
+    above = [math.nextafter(bound, math.inf), 1.01 * bound, 2 * bound]
+    for hf in below + above:
+        decided = _decide_or_refuse(capfd, sat_and_unsat, "--horizon-factor", repr(hf),
+                                    "--threshold", repr(threshold))
+        assert decided == (hf in above), hf
+
+
+def test_short_horizon_is_refused_with_its_bound(capfd, corpus_dir):
+    assert main(["solve", "--input", str(corpus_dir / "05_two_var_or.cnf"),
+                 "--amplifier", "stochastic", "--horizon-factor", "1"]) == 64
+    assert "must exceed ln(1/threshold) = 2.302585092994046" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("horizon_factor", [20.0, 1000.0])
+def test_gamma_sweep_decides_or_refuses_cleanly(capfd, sat_and_unsat, horizon_factor):
+    """Every decade of Re(gamma) decides correctly or exits 64 without LAPACK or
+    numpy noise; at hf = 20 the decided range is 1e-151..1e163."""
+    decided = [k for k in range(-308, 309)
+               if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-re", f"1e{k}",
+                                    "--horizon-factor", repr(horizon_factor))]
+    assert decided == list(range(decided[0], decided[-1] + 1))
+    if horizon_factor == 20.0:
+        assert (decided[0], decided[-1]) == (-151, 163)
+
+
 def test_cli_refuses_a_chaos_window_it_cannot_certify(capsys, corpus_dir):
     """At a = 2 the needle never crosses 1/2: refused, not reported UNSAT."""
     assert main(["solve", "--input", str(corpus_dir / "15_needle_n12.cnf"), "--a", "2"]) == 64
@@ -448,6 +582,7 @@ def test_cli_refuses_a_chaos_window_it_cannot_certify(capsys, corpus_dir):
 def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
     argv = ["solve", "--input", str(sat), "--amplifier", "stochastic"]
+    pipeline._stochastic_verdict.cache_clear()  # a memoised verdict would never reach the patch
     with monkeypatch.context() as patch:
         patch.setattr(adaptive, "damping_generator", lambda g: (inflating_generator(), inflating_generator()))
         assert main(argv) == 70
