@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -263,7 +264,13 @@ def classifier_for(g: Susceptibility, horizon_factor: float, threshold: float) -
       divides their times by sqrt(sum (k dt)^2). That norm leaves the float
       range when K < 1, when (K dt)^2 underflows to 0 or when the sum
       overflows; at hf = 20 that keeps 1.73e-152 < Re(gamma) < 1.27e163.
-    Both refusals hold for the configuration, whichever branch an input selects.
+    - The propagator multiplies each sample time by the generator's
+      eigenvalues, among them -Re(gamma) +- i Im(gamma), so the last
+      sample's phase |Im(gamma)| N dt = |Im(gamma)| hf / Re(gamma) must stay
+      finite: at hf = 20 and Re(gamma) = 1 that keeps |Im(gamma)| below
+      8.988e306.
+    All three refusals hold for the configuration, whichever branch an input
+    selects.
     """
     horizon = horizon_factor / g.gamma.real
     cfg = ClassifierConfig(horizon=horizon, dt=horizon / SAMPLE_STEPS, threshold=threshold)
@@ -276,6 +283,9 @@ def classifier_for(g: Susceptibility, horizon_factor: float, threshold: float) -
     if kept < 1 or last * last == 0 or last * last * ((kept + 1) * (2 * kept + 1) / (6 * kept)) == math.inf:
         raise ValueError(f"Re(gamma)={g.gamma.real!r} with horizon factor {horizon_factor}: the rate fit "
                          f"needs two samples above {FIT_FLOOR} and squared times inside the float range")
+    if not math.isfinite(SAMPLE_STEPS * cfg.dt * abs(g.gamma.imag)):
+        raise ValueError(f"Im(gamma)={g.gamma.imag!r} with horizon {horizon!r}: the phase "
+                         f"|Im(gamma)| * horizon must stay below {sys.float_info.max!r}")
     return cfg
 
 

@@ -6,7 +6,9 @@ true. The empty clause evaluates to 0 (empty join), the empty formula to 1 (empt
 meet). Assignments are bit strings (eps_1, ..., eps_n); the integer encoding used
 for enumeration puts eps_1 in the most significant bit, matching the statevector
 basis-index convention. Enumeration packs assignment k into lane k % 64 of
-uint64 word k // 64.
+uint64 word k // 64; the counting oracle lays those words out as rows of 2^8
+contiguous words, indexed by the last word variables, one row per value of
+the earlier ones.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -42,10 +44,25 @@ _LANE_BITS = np.array(
     ],
     dtype=np.uint64,
 )
-#: The same lane patterns as Python ints, and the all-ones word.
-_LANE_MASKS = tuple(int(word) for word in _LANE_BITS)
-_ALL_LANES = (1 << 64) - 1
+_ALL_LANES = (1 << 64) - 1  # the all-ones word, as a Python int and as a uint64
+_ALL_WORD = np.uint64(_ALL_LANES)
 _FREE = slice(None)  # an axis no literal pins
+#: For a set s of lane-index bits, _LANES_TRUE[s] is the word holding the
+#: lanes j with some bit b in s set, _LANES_FALSE[s] those with some such bit
+#: clear; bit b of j is variable n - b.
+_LANES_TRUE, _LANES_FALSE = (
+    tuple(functools.reduce(int.__or__, (int(_LANE_BITS[5 - b]) ^ flip for b in range(6) if s >> b & 1), 0)
+          for s in range(64))
+    for flip in (0, _ALL_LANES)
+)
+#: The last min(_ROW_VARS, n - 6) word variables index one contiguous row of
+#: words (at most 16: rows are indexed in uint16). Over 6..10 on random 3-CNF
+#: at m = round(4.26 n), 8 was the fastest at n = 17, 20 and 24 and 9 at
+#: n = 22 (0.77 against 0.90 ms); 10 took twice as long at n = 17.
+_ROW_VARS = 8
+_COLUMN = np.arange(1 << _ROW_VARS, dtype=np.uint16)  # the word indices within a row
+#: The clause rows built at once hold at most this many words (256 KiB).
+_ROW_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True, order=True)
@@ -279,32 +296,94 @@ def input_columns(n: int) -> tuple[np.ndarray | np.uint64, ...]:
 
 
 def _count_models(formula: CnfFormula) -> int:
-    """Satisfying assignments, counted on clause subcubes.
+    """Satisfying assignments, counted on rows of clause subcubes.
 
-    Axis i-1 of sat is word variable i; the lanes of a word hold the last
-    min(n, 6) variables as in _LANE_BITS. A clause is false only where all
-    its literals are: word literals pin their axes to the falsifying bit,
-    lane literals OR into one mask, and the pinned subcube is ANDed with it.
+    sat holds one bit per assignment: lanes as in _LANE_BITS, the last k word
+    (inner) variables index a contiguous row of 2^k words, and each earlier
+    (outer) word variable owns one size-2 axis. A clause is false only where
+    all its literals are: its outer literals pin a subcube of rows, and in
+    each of those rows it clears the lanes its lane literals falsify, at the
+    words its inner literals falsify. The rows of a batch of clauses are
+    built at once, the rows of clauses pinning the same subcube are ANDed,
+    and that subcube takes one in-place update.
+
+    The rows are filled from the last outer axis up: at level L the first
+    2^L rows, sat[0, ..., 0, c], hold for each c over the last L axes the AND
+    of the rows whose pins all lie among those axes, and copying them onto
+    the next 2^L rows makes level L + 1. A clause whose first pin is on the
+    L-th axis from the end is applied at level L, so it touches only
+    2^(L - pins) rows.
     """
     n = formula.n
     words = max(n - 6, 0)
-    sat = np.full((2,) * words, live_lanes(n), dtype=np.uint64)
+    k = min(_ROW_VARS, words)
+    outer = words - k
+    inner = (1 << k) - 1
+    bit = [0] + [1 << n - v for v in range(1, n + 1)]  # variable v's bit in an assignment index
+    # (level, outer pins, the values they falsify at) -> rows. Outer axis i is bit
+    # outer-1-i of the pins, so the level is their bit length. The live lanes
+    # lead as a row that pins nothing.
+    groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {(0, 0, 0): [(0, 0, live_lanes(n))]}
     for clause in formula.clauses:
-        index = [_FREE] * words
-        mask = 0
+        pos = neg = 0
         for lit in clause.literals:
-            axis = lit.var - 1
-            if axis >= words:
-                column = _LANE_MASKS[axis - n + 6]
-                mask |= column ^ _ALL_LANES if lit.negated else column
-            elif index[axis] is _FREE:
-                index[axis] = int(lit.negated)
-            else:  # v and -v: the clause holds everywhere
-                break
+            if lit.negated:
+                neg |= bit[lit.var]
+            else:
+                pos |= bit[lit.var]
+        if pos & neg:  # v and -v: the clause holds everywhere
+            continue
+        pins, ones = (pos | neg) >> 6, neg >> 6  # 1 where a word variable falsifies the clause
+        row = (pins & inner, ones & inner, _LANES_TRUE[pos & 63] | _LANES_FALSE[neg & 63])
+        pins >>= k
+        group = groups.get(key := (pins.bit_length(), pins, ones >> k))
+        if group is None:
+            groups[key] = [row]
         else:
-            # In place through one subscript: with n <= 6, sat[()] is a copy.
-            sat[tuple(index)] &= mask
+            group.append(row)
+    sat = np.empty((2,) * outer + (1 << k,), dtype=np.uint64)
+    flat = sat.reshape(-1, 1 << k)
+    filled = -1  # the level flat's leading rows are complete to; -1 until the first is written
+    column = _COLUMN[: 1 << k]
+    for batch in _batches(sorted(groups.items()), max(_ROW_BUDGET >> k, 1)):
+        care, false_at, mask = zip(*[row for _, part in batch for row in part])
+        rows = np.array(mask, dtype=np.uint64)[:, None]
+        if k:  # with no inner variable a clause's row is its lane mask
+            care, false_at = np.array((care, false_at), dtype=np.uint16)[:, :, None]
+            rows = np.where(column & care == false_at, rows, _ALL_WORD)
+        start = 0
+        for (level, pins, ones), part in batch:
+            stop = start + len(part)
+            row = rows[start] if stop == start + 1 else np.bitwise_and.reduce(rows[start:stop], axis=0)
+            start = stop
+            if filled < 0:  # the first part of the unpinned group, which holds the live lanes
+                flat[0] = row
+                filled = 0
+                continue
+            for done in range(filled, level):  # copy level done's rows to make level done + 1
+                flat[1 << done : 2 << done] = flat[: 1 << done]
+            filled = max(filled, level)
+            index = [ones >> b & 1 if pins >> b & 1 else _FREE for b in range(level - 1, -1, -1)]
+            sat[(*(0,) * (outer - level), *index)] &= row
+    for done in range(filled, outer):
+        flat[1 << done : 2 << done] = flat[: 1 << done]
     return int(np.bitwise_count(sat).sum())
+
+
+def _batches(groups: list, size: int):
+    """The (key, rows) pairs in order, a group split where it holds more than
+    size rows, packed into batches of at most size rows each."""
+    batch, held = [], 0
+    for key, rows in groups:
+        for lo in range(0, len(rows), size):
+            part = rows[lo : lo + size]
+            if held + len(part) > size:
+                yield batch
+                batch, held = [], 0
+            batch.append((key, part))
+            held += len(part)
+    if batch:
+        yield batch
 
 
 def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CAP) -> CountSummary:
@@ -312,11 +391,13 @@ def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CA
 
     This is the reference oracle everything else is checked against: no
     pruning, no heuristics. Every assignment keeps its own bit in one uint64
-    array, 64 per word, 2^max(n-6, 0) words (2 MiB at n = 24); each clause
-    clears the bits it falsifies, touching only the 2^(n-6-h) words its h
-    word-variable literals leave free. The result is an exact integer and
-    q_squared an exact rational. Past max_vars variables this raises
-    EnumerationCapError before allocating anything.
+    array, 64 per word, 2^max(n-6, 0) words (2 MiB at n = 24), laid out as
+    rows of up to 2^_ROW_VARS words. Each clause becomes one row that clears
+    the bits it falsifies; the rows of clauses whose outer literals pin the
+    same rows are ANDed first, and each such subcube takes one contiguous
+    update. The result is an exact integer and q_squared an exact rational.
+    Past max_vars variables this raises EnumerationCapError before
+    allocating anything.
     """
     _check_cap(formula.n, max_vars)
     total = 1 << formula.n

@@ -103,8 +103,13 @@ class Report:
 def statevector_q_squared(formula: CnfFormula) -> Fraction:
     """Weight on result = 1 after the formula circuit acts on the uniform
     superposition; exact, since the circuit permutes basis states."""
+    return _circuit_count(formula)[0]
+
+
+def _circuit_count(formula: CnfFormula) -> tuple[Fraction, int]:
+    """statevector_q_squared and the ancilla count mu of the circuit it built."""
     circuit, layout = build_sat_circuit(formula)
-    return Fraction(count_result_ones(circuit, layout), 1 << formula.n)
+    return Fraction(count_result_ones(circuit, layout), 1 << formula.n), layout.mu
 
 
 # Entries of the stochastic memo. The traffic needs few: self-check meets 3
@@ -154,7 +159,6 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
     started = time.perf_counter()
     text = Path(cfg.input_path).read_text()
     formula = parse_dimacs(text)
-    mu = required_ancillas(formula)
 
     try:
         reference = count_satisfying(formula)
@@ -165,9 +169,9 @@ def run_pipeline(cfg: PipelineConfig) -> Report:
         ) from None
 
     if cfg.mode == "oracle":
-        q_exact = reference.q_squared
+        q_exact, mu = reference.q_squared, required_ancillas(formula)
     else:
-        q_exact = statevector_q_squared(formula)
+        q_exact, mu = _circuit_count(formula)
 
     report = Report(
         input_path=str(cfg.input_path),

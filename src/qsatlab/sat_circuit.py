@@ -53,7 +53,11 @@ def required_ancillas(formula: CnfFormula) -> int:
     mu = sum over kept clauses of (|C|-1) + (m-1) + 1, degenerating to 1 for
     constant formulas; linear in m*n since kept clauses are minimal.
     """
-    active = filter_minimal(formula)
+    return _ancillas(filter_minimal(formula))
+
+
+def _ancillas(active: tuple[Clause, ...]) -> int:
+    """required_ancillas for the kept clauses themselves."""
     if not active or any(len(c) == 0 for c in active):
         return 1
     m = len(active)
@@ -72,7 +76,8 @@ class _Value:
 def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
     """Build the formula-evaluation circuit out of X/CNOT/Toffoli gates only."""
     n = formula.n
-    mu = required_ancillas(formula)
+    active = filter_minimal(formula)
+    mu = _ancillas(active)
     total = n + mu
     layout = CircuitLayout(
         n_input=n,
@@ -83,7 +88,6 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
     assert mu <= n * formula.num_clauses + 2, "ancilla budget not linear in m*n"
 
     circuit = Circuit(total)
-    active = filter_minimal(formula)
 
     if any(len(c) == 0 for c in active):
         return circuit, layout  # constant 0: result qubit never touched

@@ -272,6 +272,32 @@ def test_count_peak_memory_stays_under_one_mebibyte_at_n20():
     assert peak < 1 << 20
 
 
+def test_count_peak_memory_at_the_cap_is_the_table_plus_rows():
+    """At n = 24 the table of 2^18 words takes 2 MiB; the clause rows, their
+    batch scratch and the final popcount add under 1 MiB."""
+    formula = random_3cnf(24, 1)
+    tracemalloc.start()
+    try:
+        assert count_satisfying(formula).r == 35
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+
+
+def test_count_builds_clause_rows_in_bounded_batches():
+    """2,550 clauses at n = 20: built at once their rows would take 5 MiB;
+    batched, the whole count stays under 2 MiB."""
+    formula = CnfFormula(20, [c for seed in range(30) for c in random_3cnf(20, seed).clauses])
+    tracemalloc.start()
+    try:
+        assert count_satisfying(formula).r == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_count_cap():
     big = CnfFormula(25, [lits(1)])
     with pytest.raises(EnumerationCapError, match="exceeds the cap"):

@@ -563,14 +563,23 @@ def test_short_horizon_is_refused_with_its_bound(capfd, corpus_dir):
 
 @pytest.mark.parametrize("horizon_factor", [20.0, 1000.0])
 def test_gamma_sweep_decides_or_refuses_cleanly(capfd, sat_and_unsat, horizon_factor):
-    """Every decade of Re(gamma) decides correctly or exits 64 without LAPACK or
-    numpy noise; at hf = 20 the decided range is 1e-151..1e163."""
+    """Every decade of Re(gamma), and of Im(gamma) at Re(gamma) = 1, decides
+    correctly or exits 64 without LAPACK or numpy noise. At hf = 20 the decided
+    Re(gamma) range is 1e-151..1e163; Im(gamma) of either sign decides while
+    |Im(gamma)| * hf stays finite."""
     decided = [k for k in range(-308, 309)
                if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-re", f"1e{k}",
                                     "--horizon-factor", repr(horizon_factor))]
     assert decided == list(range(decided[0], decided[-1] + 1))
     if horizon_factor == 20.0:
         assert (decided[0], decided[-1]) == (-151, 163)
+    last = {20.0: 306, 1000.0: 305}[horizon_factor]
+    decided = [k for k in range(-308, 309)
+               if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-im", f"1e{k}",
+                                    "--horizon-factor", repr(horizon_factor))]
+    assert decided == list(range(-308, last + 1))
+    assert [_decide_or_refuse(capfd, sat_and_unsat, f"--gamma-im=-1e{k}", "--horizon-factor",
+                              repr(horizon_factor)) for k in (last, last + 1)] == [True, False]
 
 
 def test_cli_refuses_a_chaos_window_it_cannot_certify(capsys, corpus_dir):

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_3cnf, random_test_formula
-from qsatlab.cnf import Clause, CnfFormula, Literal, count_satisfying, eval_formula, lits, parse_dimacs
+from qsatlab.cnf import _ROW_VARS, Clause, CnfFormula, Literal, count_satisfying, eval_formula, lits, parse_dimacs
 from qsatlab.errors import EnumerationCapError
 from qsatlab.sat_circuit import (
     build_sat_circuit,
@@ -178,6 +178,8 @@ def test_threshold_count_matches_oracle_in_little_memory():
     for each of its 275 qubits would take 34 MiB)."""
     formula = random_3cnf(24, 1)
     assert count_result_ones(*build_sat_circuit(formula)) == count_satisfying(formula).r == 35
+    formula = random_3cnf(22, 7)
+    assert count_result_ones(*build_sat_circuit(formula)) == count_satisfying(formula).r == 9
     formula = random_3cnf(20, 7)
     count, peak = _count_peak_bytes(formula)
     assert count == count_satisfying(formula).r
@@ -225,6 +227,56 @@ def test_packed_counts_match_brute_force_on_corpus(corpus_dir):
         formula = parse_dimacs(path.read_text())
         expected = brute_count(formula)
         assert _packed_counts(formula) == (expected, expected), path.name
+
+
+@st.composite
+def _row_layout_formulas(draw, n: int) -> CnfFormula:
+    """Clauses placed on the oracle's row layout at n variables: outer (axis),
+    inner (row) and lane variables. Several clauses share one set of outer
+    pins; one is a tautology on an outer variable and one on an inner
+    variable; some hold lane literals alone; one in five formulas also holds
+    the empty clause."""
+    words = n - 6
+    k = min(_ROW_VARS, words)
+    outer, inner, lane, every = (range(1, words - k + 1), range(words - k + 1, words + 1),
+                                 range(words + 1, n + 1), range(1, n + 1))
+
+    def some(pool, most):
+        chosen = draw(st.lists(st.sampled_from(pool), max_size=most, unique=True)) if pool else []
+        return [v if draw(st.booleans()) else -v for v in chosen]
+
+    pins = some(outer, 2)
+    clauses = [pins + some(inner, 2) + some(lane, 2) for _ in range(draw(st.integers(2, 4)))]
+    clauses += [some(lane, 3) for _ in range(draw(st.integers(1, 3)))]
+    clauses += [some(every, 3) for _ in range(draw(st.integers(0, 4)))]
+    for pool in (outer, inner):
+        if pool:
+            v = draw(st.sampled_from(pool))
+            clauses.append([v, -v, *some(every, 2)])
+    if draw(st.integers(0, 4)) == 0:
+        clauses.append([])
+    order = draw(st.permutations(range(len(clauses))))
+    return CnfFormula(n, [lits(*clauses[i]) for i in order])
+
+
+@pytest.mark.parametrize("n", range(5 + _ROW_VARS, 11 + _ROW_VARS))
+@settings(max_examples=6)
+@given(data=st.data())
+def test_packed_counts_agree_where_outer_axes_appear(n, data):
+    """From one variable short of a full row (no outer axis) to four outer axes."""
+    formula = data.draw(_row_layout_formulas(n))
+    assert count_satisfying(formula).r == count_result_ones(*build_sat_circuit(formula))
+
+
+def test_packed_counts_agree_when_a_group_spans_batches():
+    """200 clauses pin no outer axis at n = 16, more than one batch of rows holds."""
+    rng = random.Random(0)
+
+    def clause(lowest):
+        return lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(lowest, 17), 6)))
+
+    formula = CnfFormula(16, [clause(3) for _ in range(200)] + [clause(1) for _ in range(100)])
+    assert count_satisfying(formula).r == count_result_ones(*build_sat_circuit(formula)) == 697
 
 
 def test_oracle_and_circuit_counts_agree_at_n20():
