@@ -2,13 +2,15 @@
 
 Conventions: a formula over n variables is a conjunction of clauses; a clause is a
 set of literals (duplicates collapse) and is satisfied when any literal evaluates
-true. The empty clause evaluates to 0 (empty join), the empty formula to 1 (empty
-meet). Assignments are bit strings (eps_1, ..., eps_n); the integer encoding used
-for enumeration puts eps_1 in the most significant bit, matching the statevector
-basis-index convention. Enumeration packs assignment k into lane k % 64 of
-uint64 word k // 64; the counting oracle lays those words out as rows of 2^8
-contiguous words, indexed by the last word variables, one row per value of
-the earlier ones.
+true; it is held as two variable bit masks, pos and neg, with bit v set when v
+(or -v) occurs. The empty clause evaluates to 0 (empty join), the empty formula
+to 1 (empty meet). Assignments are bit strings (eps_1, ..., eps_n); to_index
+puts eps_1 in the most significant bit, as the statevector does, but both
+counters enumerate with variable v at bit v - 1 (the masks shifted down by
+one; no count depends on the labelling). Enumeration packs index k into lane
+k % 64 of uint64 word k // 64; the counting oracle lays those words out as
+rows of 2^8 contiguous words, indexed by the first word variables, one row
+per value of the later ones.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -30,17 +32,16 @@ from .errors import DimacsParseError, EnumerationCapError, InvariantError
 DEFAULT_ENUMERATION_CAP = 24
 
 #: Enumeration packs 64 assignments per uint64 word: assignment k sits in lane
-#: k % 64 of word k // 64. _LANE_BITS[5 - b] is the word whose lane j holds bit
-#: b of j, so its last min(n, 6) entries are the columns of the last min(n, 6)
-#: variables.
+#: k % 64 of word k // 64. _LANE_BITS[b] is the word whose lane j holds bit b
+#: of j, so its first min(n, 6) entries are the columns of variables 1..6.
 _LANE_BITS = np.array(
     [
-        0xFFFFFFFF00000000,
-        0xFFFF0000FFFF0000,
-        0xFF00FF00FF00FF00,
-        0xF0F0F0F0F0F0F0F0,
-        0xCCCCCCCCCCCCCCCC,
         0xAAAAAAAAAAAAAAAA,
+        0xCCCCCCCCCCCCCCCC,
+        0xF0F0F0F0F0F0F0F0,
+        0xFF00FF00FF00FF00,
+        0xFFFF0000FFFF0000,
+        0xFFFFFFFF00000000,
     ],
     dtype=np.uint64,
 )
@@ -49,13 +50,13 @@ _ALL_WORD = np.uint64(_ALL_LANES)
 _FREE = slice(None)  # an axis no literal pins
 #: For a set s of lane-index bits, _LANES_TRUE[s] is the word holding the
 #: lanes j with some bit b in s set, _LANES_FALSE[s] those with some such bit
-#: clear; bit b of j is variable n - b.
+#: clear; bit b of j is variable b + 1.
 _LANES_TRUE, _LANES_FALSE = (
-    tuple(functools.reduce(int.__or__, (int(_LANE_BITS[5 - b]) ^ flip for b in range(6) if s >> b & 1), 0)
+    tuple(functools.reduce(int.__or__, (int(_LANE_BITS[b]) ^ flip for b in range(6) if s >> b & 1), 0)
           for s in range(64))
     for flip in (0, _ALL_LANES)
 )
-#: The last min(_ROW_VARS, n - 6) word variables index one contiguous row of
+#: The first min(_ROW_VARS, n - 6) word variables index one contiguous row of
 #: words (at most 16: rows are indexed in uint16). Over 6..10 on random 3-CNF
 #: at m = round(4.26 n), 8 was the fastest at n = 17, 20 and 24 and 9 at
 #: n = 22 (0.77 against 0.90 ms); 10 took twice as long at n = 17.
@@ -63,6 +64,9 @@ _ROW_VARS = 8
 _COLUMN = np.arange(1 << _ROW_VARS, dtype=np.uint16)  # the word indices within a row
 #: The clause rows built at once hold at most this many words (256 KiB).
 _ROW_BUDGET = 1 << 15
+#: parse_dimacs refuses input whose clause masks could take more bits than
+#: this (256 MiB): a clause's two masks each span up to its largest variable.
+_MASK_BUDGET = 1 << 31
 
 
 @dataclass(frozen=True, order=True)
@@ -76,28 +80,75 @@ class Literal:
         if self.var < 1:
             raise ValueError(f"variable index must be >= 1, got {self.var}")
 
-    def __str__(self) -> str:
-        return f"-{self.var}" if self.negated else str(self.var)
+
+_new, _set = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True)
 class Clause:
-    """A finite set of literals; construction removes duplicates."""
+    """A finite set of literals, held as two variable bit masks: bit v of pos
+    is set when v occurs, bit v of neg when -v does (bit 0 is never set). A
+    literal set and its masks determine each other, so duplicates collapse
+    and equal clauses hold equal masks. Immutable."""
 
-    literals: frozenset[Literal]
+    __slots__ = ("pos", "neg")
 
     def __init__(self, literals: Iterable[Literal] = ()):
-        object.__setattr__(self, "literals", frozenset(literals))
+        literals = set(literals)
+        _set(self, "pos", sum(1 << l.var for l in literals if not l.negated))
+        _set(self, "neg", sum(1 << l.var for l in literals if l.negated))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Clause is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _clause, (self.pos, self.neg)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Clause) and self.pos == other.pos and self.neg == other.neg
+
+    def __hash__(self) -> int:
+        return hash((self.pos, self.neg))
+
+    def __repr__(self) -> str:
+        return f"Clause({self.sorted_literals()!r})"
+
+    @property
+    def literals(self) -> frozenset[Literal]:
+        """The literal set the masks hold."""
+        return frozenset(self.sorted_literals())
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return self.pos.bit_count() + self.neg.bit_count()
 
     def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
+        return iter(self.sorted_literals())
+
+    def dimacs(self) -> list[int]:
+        """The literals as signed DIMACS integers, sorted by variable, v before -v."""
+        pos, neg = self.pos, self.neg
+        both, out = pos | neg, []
+        while both:
+            v = (both & -both).bit_length() - 1
+            if pos >> v & 1:
+                out.append(v)
+            if neg >> v & 1:
+                out.append(-v)
+            both &= both - 1
+        return out
 
     def sorted_literals(self) -> list[Literal]:
         """Literals sorted by variable, positive polarity first."""
-        return sorted(self.literals, key=lambda l: (l.var, l.negated))
+        return [Literal(abs(k), negated=k < 0) for k in self.dimacs()]
+
+
+def _clause(pos: int, neg: int) -> Clause:
+    """The clause holding these masks, built without literals."""
+    clause = _new(Clause)
+    _set(clause, "pos", pos)
+    _set(clause, "neg", neg)
+    return clause
 
 
 @dataclass(frozen=True)
@@ -111,7 +162,7 @@ class CnfFormula:
         clauses = tuple(clauses)
         if n < 0:
             raise ValueError(f"variable count must be >= 0, got {n}")
-        bad = max((l.var for c in clauses for l in c.literals), default=0)
+        bad = max((c.pos | c.neg for c in clauses), default=0).bit_length() - 1
         if bad > n:
             raise ValueError(f"clause references variable {bad} > n={n}")
         object.__setattr__(self, "n", n)
@@ -161,26 +212,28 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF. Comment lines start with 'c'; header is 'p cnf n m';
     clauses are whitespace-separated nonzero ints terminated by 0, and there
     must be exactly m of them. A line starting with '%' (the SATLIB end
-    marker) ends the input.
+    marker) ends the input. A malformed input reports its first fault in
+    file order, with that fault's line.
+
+    The clause lines are tokenised together and each literal is ORed straight
+    into its clause's masks; only a faulty token sends the parser back over
+    the lines to find where it sits.
     """
-    n = declared_m = None
-    header_line = 0
-    clauses: list[Clause] = []
-    current: list[Literal] = []
-    interned: dict[int, Literal] = {}  # one Literal per signed integer
-    clause_open_line = 0
-    last_line = 0
+    n = declared_m = fault = None
+    header_line = lineno = 0
+    body: list[str] = []  # the clause lines, in order
+    where: list[int] = []  # their line numbers
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        last_line = lineno
         if line.startswith("%"):
             break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
-            if n is not None:
-                raise DimacsParseError("duplicate header", lineno)
+            if n is not None:  # raised once the clause lines above it prove sound
+                fault = DimacsParseError("duplicate header", lineno)
+                break
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsParseError(f"malformed header {line!r}", lineno)
@@ -194,39 +247,62 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if n is None:
             raise DimacsParseError(f"clause data before 'p cnf' header: {line!r}", lineno)
+        body.append(line)
+        where.append(lineno)
+
+    if n is None:
+        raise DimacsParseError("empty input: no 'p cnf' header found", max(lineno, 1))
+    try:
+        tokens = list(map(int, " ".join(body).split()))
+    except ValueError:
+        tokens = None
+    if tokens is None or tokens and (max(tokens) > n or -min(tokens) > n):
+        _locate(body, where, n)
+    if fault is not None:
+        raise fault
+    if 2 * n * len(tokens) > _MASK_BUDGET and (bits := 2 * sum(map(abs, tokens))) > _MASK_BUDGET:
+        raise ValueError(f"clause masks over n={n} variables could take {bits >> 23} MiB, "
+                         f"over the budget of {_MASK_BUDGET >> 23} MiB")
+    clauses: list[Clause] = []
+    pos = neg = 0
+    for k in tokens:
+        if k > 0:
+            pos |= 1 << k
+        elif k:
+            neg |= 1 << -k
+        else:
+            clauses.append(_clause(pos, neg))
+            pos = neg = 0
+    if pos | neg:
+        opened = len(tokens) - tokens[::-1].index(0) if 0 in tokens else 0  # the open clause's first token
+        raise DimacsParseError("clause without terminating 0", _locate(body, where, n, opened))
+    if len(clauses) != declared_m:
+        raise DimacsParseError(f"header declares {declared_m} clauses, found {len(clauses)}", header_line)
+    return CnfFormula(n, clauses)
+
+
+def _locate(body: list[str], where: list[int], n: int, index: int = -1) -> int:
+    """Walk the clause tokens in file order: raise on the first that is not an
+    integer or names a variable past n, else return the line of token index."""
+    for line, lineno in zip(body, where):
         for tok in line.split():
             try:
                 k = int(tok)
             except ValueError:
                 raise DimacsParseError(f"non-integer token {tok!r}", lineno) from None
-            if k == 0:
-                clauses.append(Clause(current))
-                current = []
-                continue
-            if not current:
-                clause_open_line = lineno
-            lit = interned.get(k)
-            if lit is None:
-                if abs(k) > n:
-                    raise DimacsParseError(f"variable {abs(k)} exceeds declared n={n}", lineno)
-                lit = interned[k] = Literal(abs(k), negated=k < 0)
-            current.append(lit)
-
-    if n is None:
-        raise DimacsParseError("empty input: no 'p cnf' header found", max(last_line, 1))
-    if current:
-        raise DimacsParseError("clause without terminating 0", clause_open_line)
-    if len(clauses) != declared_m:
-        raise DimacsParseError(f"header declares {declared_m} clauses, found {len(clauses)}", header_line)
-    return CnfFormula(n, clauses)
+            if abs(k) > n:
+                raise DimacsParseError(f"variable {abs(k)} exceeds declared n={n}", lineno)
+            if index == 0:
+                return lineno
+            index -= 1
+    raise InvariantError(f"parse_dimacs: no faulty token found, or no token {index}")
 
 
 def serialize_dimacs(formula: CnfFormula) -> str:
     """Emit canonical DIMACS: clauses in stored order, literals sorted by var."""
     lines = [f"p cnf {formula.n} {formula.num_clauses}"]
     for clause in formula.clauses:
-        toks = [str(l) for l in clause.sorted_literals()]
-        lines.append(" ".join(toks + ["0"]))
+        lines.append(" ".join(map(str, [*clause.dimacs(), 0])))
     return "\n".join(lines) + "\n"
 
 
@@ -235,7 +311,7 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 def is_minimal(clause: Clause) -> bool:
     """True iff no variable occurs in both polarities."""
-    return len({l.var for l in clause.literals}) == len(clause.literals)
+    return not clause.pos & clause.neg
 
 
 def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
@@ -244,7 +320,7 @@ def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
     A dropped clause is satisfied by every assignment, so leaving it out of
     the conjunction leaves the satisfying set untouched. Idempotent.
     """
-    return tuple(c for c in formula.clauses if is_minimal(c))
+    return tuple(c for c in formula.clauses if not c.pos & c.neg)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -284,23 +360,24 @@ def live_lanes(n: int) -> int:
 @functools.cache
 def input_columns(n: int) -> tuple[np.ndarray | np.uint64, ...]:
     """Each variable's value under all 2^n assignments in the oracle's layout,
-    shared and read-only: word variable i is [0, ~0] along axis i-1 alone, a
-    lane variable its _LANE_BITS word. Past DEFAULT_ENUMERATION_CAP variables
-    this raises EnumerationCapError."""
+    shared and read-only: variable v <= 6 is _LANE_BITS[v - 1], word variable
+    7 + i is [0, ~0] along axis words - 1 - i alone (bit i of the word index).
+    Past DEFAULT_ENUMERATION_CAP variables this raises EnumerationCapError."""
     _check_cap(n, DEFAULT_ENUMERATION_CAP)
     words = max(n - 6, 0)
     pattern = np.array([0, _ALL_LANES], dtype=np.uint64)
     pattern.flags.writeable = False  # every word column is a view of it
-    return (*(pattern.reshape([1] * i + [2] + [1] * (words - 1 - i)) for i in range(words)),
-            *_LANE_BITS[6 - min(n, 6) :])
+    return (*_LANE_BITS[: min(n, 6)],
+            *(pattern.reshape([1] * (words - 1 - i) + [2] + [1] * i) for i in range(words)))
 
 
 def _count_models(formula: CnfFormula) -> int:
     """Satisfying assignments, counted on rows of clause subcubes.
 
-    sat holds one bit per assignment: lanes as in _LANE_BITS, the last k word
-    (inner) variables index a contiguous row of 2^k words, and each earlier
-    (outer) word variable owns one size-2 axis. A clause is false only where
+    sat holds one bit per assignment, variable v at bit v - 1 of its index:
+    lanes as in _LANE_BITS, the first k word (inner) variables index a
+    contiguous row of 2^k words, and each later (outer) word variable owns one
+    size-2 axis, the last variable the first axis. A clause is false only where
     all its literals are: its outer literals pin a subcube of rows, and in
     each of those rows it clears the lanes its lane literals falsify, at the
     words its inner literals falsify. The rows of a batch of clauses are
@@ -319,22 +396,16 @@ def _count_models(formula: CnfFormula) -> int:
     k = min(_ROW_VARS, words)
     outer = words - k
     inner = (1 << k) - 1
-    bit = [0] + [1 << n - v for v in range(1, n + 1)]  # variable v's bit in an assignment index
     # (level, outer pins, the values they falsify at) -> rows. Outer axis i is bit
     # outer-1-i of the pins, so the level is their bit length. The live lanes
     # lead as a row that pins nothing.
     groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {(0, 0, 0): [(0, 0, live_lanes(n))]}
     for clause in formula.clauses:
-        pos = neg = 0
-        for lit in clause.literals:
-            if lit.negated:
-                neg |= bit[lit.var]
-            else:
-                pos |= bit[lit.var]
+        pos, neg = clause.pos, clause.neg  # bit v, so bit v - 1 of an index once shifted
         if pos & neg:  # v and -v: the clause holds everywhere
             continue
-        pins, ones = (pos | neg) >> 6, neg >> 6  # 1 where a word variable falsifies the clause
-        row = (pins & inner, ones & inner, _LANES_TRUE[pos & 63] | _LANES_FALSE[neg & 63])
+        pins, ones = (pos | neg) >> 7, neg >> 7  # 1 where a word variable falsifies the clause
+        row = (pins & inner, ones & inner, _LANES_TRUE[pos >> 1 & 63] | _LANES_FALSE[neg >> 1 & 63])
         pins >>= k
         group = groups.get(key := (pins.bit_length(), pins, ones >> k))
         if group is None:

@@ -23,6 +23,7 @@ from .sat_circuit import build_sat_circuit, collapse_to_qubit, count_result_ones
 MODES = ("oracle", "statevector")
 AMPLIFIERS = ("chaos", "stochastic", "none")
 FORMATS = ("json", "csv")
+_NO_TRACE = "report has no amplifier trace to emit as CSV"
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class PipelineConfig:
             raise ValueError(f"amplifier must be one of {AMPLIFIERS}, got {self.amplifier!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.emit_path and self.format == "csv" and self.amplifier == "none":
+            raise ValueError(_NO_TRACE)
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,7 @@ def render(report: Report, fmt: str) -> str:
         return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         if report.verdict is None:
-            raise ValueError("report has no amplifier trace to emit as CSV")
+            raise ValueError(_NO_TRACE)
         return report.verdict.csv
     raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
@@ -292,8 +295,8 @@ def read_expectation(text: str) -> bool | None:
 def self_check(corpus_dir: str | Path) -> CheckSummary:
     """Run both amplifiers in both modes over every .cnf in a directory and
     compare all verdicts against brute force and against any 'c expect'
-    annotation."""
-    corpus = sorted(Path(corpus_dir).glob("*.cnf"))
+    annotation. A missing or unreadable directory raises OSError naming it."""
+    corpus = sorted(path for path in Path(corpus_dir).iterdir() if path.name.endswith(".cnf"))
     if not corpus:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
     rows = []

@@ -57,11 +57,11 @@ def required_ancillas(formula: CnfFormula) -> int:
 
 
 def _ancillas(active: tuple[Clause, ...]) -> int:
-    """required_ancillas for the kept clauses themselves."""
-    if not active or any(len(c) == 0 for c in active):
+    """required_ancillas for the kept clauses themselves: the sum, sum |C| - m
+    + (m - 1) + 1, is their literal count, read off the masks."""
+    if not active or not all(c.pos | c.neg for c in active):
         return 1
-    m = len(active)
-    return sum(len(c) - 1 for c in active) + (m - 1) + 1
+    return sum(c.pos.bit_count() + c.neg.bit_count() for c in active)
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
 
     circuit = Circuit(total)
 
-    if any(len(c) == 0 for c in active):
+    if not all(c.pos | c.neg for c in active):
         return circuit, layout  # constant 0: result qubit never touched
     if not active:
         circuit.append(Gate.x(layout.result_qubit))  # constant 1
@@ -124,13 +124,12 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
             controlled([a], target)
 
     def clause_value(clause: Clause) -> _Value:
-        literals = clause.sorted_literals()
+        literals = clause.dimacs()
         if len(literals) == 1:
-            lit = literals[0]
-            return _Value(lit.var - 1, invert=lit.negated)
+            return _Value(abs(literals[0]) - 1, invert=literals[0] < 0)
         # AND of literal complements: a positive literal's complement needs an
         # X-wrap on its input qubit, a negated literal's complement is the raw bit.
-        complements = [_Value(l.var - 1, invert=not l.negated) for l in literals]
+        complements = [_Value(abs(k) - 1, invert=k > 0) for k in literals]
         acc = fresh()
         controlled(complements[:2], acc)
         for comp in complements[2:]:

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +20,7 @@ from qsatlab.cnf import (
     eval_clause,
     eval_formula,
     filter_minimal,
+    input_columns,
     is_minimal,
     is_sat,
     lits,
@@ -101,6 +105,48 @@ def test_parse_duplicate_header():
         parse_dimacs("p cnf 2 1\np cnf 2 1\n1 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a non-integer token before a duplicate header, and a header after sound lines
+    ("p cnf 2 1\n1 x 0\np cnf 2 1\n", "line 2: non-integer token 'x'"),
+    ("p cnf 2 1\n1 2 0\np cnf 2 1\nx 0\n", "line 3: duplicate header"),
+    ("p cnf 2 1\n3 0\np cnf 2 1\n", "line 2: variable 3 exceeds declared n=2"),
+    ("p cnf 2 1\n1\np cnf 2 1\n", "line 3: duplicate header"),
+    # an out-of-range variable on a continuation line, before a later bad token
+    ("p cnf 2 1\n1\n3 0\n", "line 3: variable 3 exceeds declared n=2"),
+    ("p cnf 2 2\n1\n3 0\nx 0\n", "line 3: variable 3 exceeds declared n=2"),
+    ("p cnf 2 1\n3 x 0\n", "line 2: variable 3 exceeds declared n=2"),
+    ("p cnf 2 1\nx 3 0\n", "line 2: non-integer token 'x'"),
+    ("p cnf 2 1\n1 2 0 3\n", "line 2: variable 3 exceeds declared n=2"),
+    # a clause left open: the line it opens on, ahead of the clause count
+    ("p cnf 3 2\n1 2 0 -3\n2\n", "line 2: clause without terminating 0"),
+    ("p cnf 3 2\n1 0\n\nc note\n2\n3\n", "line 5: clause without terminating 0"),
+    ("p cnf 2 5\n1 0\n2\n", "line 3: clause without terminating 0"),
+    # '%' ends the input: what follows it is never read
+    ("p cnf 2 1\n1 2\n%\n0\n", "line 2: clause without terminating 0"),
+    ("p cnf 2 2\n1 2 0\n% x\nx 0\n", "line 1: header declares 2 clauses, found 1"),
+])
+def test_parse_reports_the_first_fault_in_file_order(text, message):
+    with pytest.raises(DimacsParseError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split()[1].rstrip(":"))
+
+
+def test_parse_ignores_faults_after_the_end_marker():
+    assert parse_dimacs("p cnf 2 1\n1 -2 0\n%\nx 0\np cnf 9 9\n").clauses == (lits(1, -2),)
+
+
+def test_parse_refuses_clause_masks_over_budget():
+    """Masks span up to the largest variable of their clause, so 600 clauses
+    near variable 2 million could take about 290 MiB; the same clause count
+    over small variables parses."""
+    far = "p cnf 2000000 600\n" + "1999999 -2000000 1000000 0\n" * 600
+    with pytest.raises(ValueError, match="over the budget of 256 MiB"):
+        parse_dimacs(far)
+    near = parse_dimacs("p cnf 2000000 600\n" + "1 -2 3 0\n" * 600)
+    assert near.n == 2_000_000 and near.clauses == (lits(1, -2, 3),) * 600
+
+
 def test_roundtrip_examples():
     for text in ["p cnf 2 1\n1 2 0\n", "p cnf 3 3\n-1 2 0\n3 0\n-2 -3 0\n", "p cnf 4 0\n"]:
         f = parse_dimacs(text)
@@ -133,6 +179,60 @@ def test_is_minimal():
     assert is_minimal(lits(1, -2))
     assert not is_minimal(lits(1, -1))
     assert is_minimal(Clause())
+
+
+_LITERALS = st.lists(
+    st.builds(Literal, st.one_of(st.integers(1, 4), st.integers(60, 200)), st.booleans()), max_size=8
+)
+
+
+@given(literals=_LITERALS, data=st.data())
+def test_clause_masks_keep_set_semantics(literals, data):
+    """Duplicates, complementary pairs, variables past 64 and the empty list."""
+    clause = Clause(literals)
+    distinct = frozenset(literals)
+    assert clause.literals == distinct
+    assert set(clause) == distinct
+    assert len(clause) == len(distinct)
+    assert clause.sorted_literals() == sorted(distinct, key=lambda l: (l.var, l.negated))
+    assert clause.dimacs() == [-l.var if l.negated else l.var for l in clause.sorted_literals()]
+    assert clause.pos == sum(1 << l.var for l in distinct if not l.negated)
+    assert clause.neg == sum(1 << l.var for l in distinct if l.negated)
+    assert is_minimal(clause) == (len({l.var for l in distinct}) == len(distinct))
+
+    shuffled = data.draw(st.permutations(literals))
+    repeated = data.draw(st.lists(st.sampled_from(literals), max_size=4)) if literals else []
+    same = Clause(shuffled + repeated)
+    assert same == clause and hash(same) == hash(clause)
+    other = data.draw(_LITERALS)
+    assert (Clause(other) == clause) == (frozenset(other) == distinct)
+    assert clause != distinct and clause != (clause.pos, clause.neg)
+
+
+def test_clause_is_immutable_and_pickles():
+    clause = lits(1, -70)
+    with pytest.raises(AttributeError):
+        clause.pos = 0
+    with pytest.raises(AttributeError):
+        del clause.neg
+    assert pickle.loads(pickle.dumps(clause)) == clause
+    assert copy.deepcopy(clause) == clause
+    assert repr(clause) == "Clause([Literal(var=1, negated=False), Literal(var=70, negated=True)])"
+
+
+@given(st.integers(0, 10_000))
+def test_roundtrip_past_64_variables(seed):
+    rng = random.Random(seed)
+    n = rng.randint(65, 300)
+    clauses = []
+    for _ in range(rng.randint(0, 12)):
+        signed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, 5))]
+        if signed and rng.random() < 0.25:
+            signed.append(-signed[0])
+        clauses.append(lits(*signed))
+    f = CnfFormula(n, clauses)
+    assert parse_dimacs(serialize_dimacs(f)) == f
+    assert filter_minimal(f) == tuple(c for c in clauses if len({l.var for l in c}) == len(c))
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -259,6 +359,16 @@ def test_count_of_empty_unit_and_tautological_clauses(n):
     tautologies_then_unit = CnfFormula(n, [lits(1, -1), lits(n, -n), lits(-1)])
     assert count_satisfying(tautologies_then_unit).r == brute_count(tautologies_then_unit) == 2 ** (n - 1)
     assert count_satisfying(CnfFormula(0, [])).r == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 9, 15])
+def test_input_columns_put_variable_v_at_index_bit_v_minus_1(n):
+    words = max(n - 6, 0)
+    index = np.arange(1 << n)
+    for v, column in enumerate(input_columns(n), start=1):
+        packed = np.ascontiguousarray(np.broadcast_to(column, (2,) * words), dtype="<u8").reshape(-1)
+        bits = np.unpackbits(packed.view(np.uint8), bitorder="little")[: 1 << n]
+        assert (bits == (index >> (v - 1) & 1)).all(), v
 
 
 def test_count_peak_memory_stays_under_one_mebibyte_at_n20():

@@ -291,6 +291,18 @@ def test_self_check_decides_three_stochastic_configurations(memo, corpus_dir):
     assert memo.cache_info().misses == 3 and memo.cache_info().hits == 85
 
 
+def test_csv_trace_without_amplifier_is_refused_before_the_input_is_read(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="no amplifier trace to emit as CSV"):
+        PipelineConfig(input_path="x.cnf", amplifier="none", format="csv", emit_path=str(out))
+    PipelineConfig(input_path="x.cnf", amplifier="none", format="csv")  # nothing to emit
+    missing = tmp_path / "missing.cnf"
+    argv = ["solve", "--input", str(missing), "--amplifier", "none", "--format", "csv", "--emit", str(out)]
+    assert main(argv) == 64  # 66 if the input had been read
+    assert "qsatlab: report has no amplifier trace to emit as CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_rejects_invalid_combinations(tmp_path):
     path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
     report = run_pipeline(PipelineConfig(input_path=str(path), amplifier="none"))
@@ -377,6 +389,28 @@ def test_self_check_catches_mislabeled_expectation(tmp_path):
 def test_self_check_rejects_empty_directory(tmp_path):
     with pytest.raises(ValueError, match="no .cnf files"):
         self_check(tmp_path)
+
+
+def test_self_check_raises_oserror_naming_a_missing_or_file_corpus(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no-such-dir"):
+        self_check(tmp_path / "no-such-dir")
+    _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
+    with pytest.raises(NotADirectoryError, match="a.cnf"):
+        self_check(tmp_path / "a.cnf")
+
+
+def test_cli_self_check_exit_codes_for_missing_and_empty_corpora(tmp_path, capsys):
+    missing = tmp_path / "does-not-exist"
+    assert main(["self-check", "--corpus", str(missing)]) == 66
+    assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+    not_dir = _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
+    assert main(["self-check", "--corpus", str(not_dir)]) == 66
+    assert f"Not a directory: '{not_dir}'" in capsys.readouterr().err
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("p cnf 1 1\n1 0\n")
+    assert main(["self-check", "--corpus", str(empty)]) == 64
+    assert f"qsatlab: no .cnf files found in {empty}" in capsys.readouterr().err
 
 
 def test_corpus_regenerates_byte_identically(tmp_path, corpus_dir):
