@@ -37,10 +37,9 @@ from .sat_circuit import (
     CircuitLayout,
     build_sat_circuit,
     collapse_to_qubit,
-    post_measure,
     success_probability,
 )
-from .statevector import Circuit, Gate, StateVector, dft_state, prepare_uniform, run
+from .statevector import Circuit, Gate, StateVector, prepare_uniform, run
 
 __version__ = "0.1.0"
 
@@ -72,13 +71,11 @@ __all__ = [
     "count_satisfying",
     "damping_generator",
     "detect",
-    "dft_state",
     "eval_formula",
     "evolve",
     "is_sat",
     "iterate",
     "parse_dimacs",
-    "post_measure",
     "prepare_uniform",
     "run",
     "run_pipeline",

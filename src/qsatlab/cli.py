@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # unreadable input; emit turns output errors into ValueError
         print(f"qsatlab: {exc}", file=sys.stderr)
         return EX_NOINPUT
-    except ValueError as exc:  # usage and caps; EnumerationCapError and QubitCapError too
+    except ValueError as exc:  # usage and caps; EnumerationCapError too
         print(f"qsatlab: {exc}", file=sys.stderr)
         return EX_USAGE
     except MemoryError as exc:

@@ -159,9 +159,8 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
 
 def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
     """Number of inputs eps whose result qubit reads 1 after the circuit acts
-    on |eps, 0...0>; 2^n * q^2 exactly. Only X/CNOT/Toffoli are accepted,
-    since H and PHASE do not map basis states to basis states. Raises
-    EnumerationCapError past 2^DEFAULT_ENUMERATION_CAP inputs.
+    on |eps, 0...0>; 2^n * q^2 exactly. Raises EnumerationCapError past
+    2^DEFAULT_ENUMERATION_CAP inputs.
 
     Values are never written in place, so qubits share read-only starting
     values and broadcasting widens a value only along the variables it comes
@@ -173,13 +172,11 @@ def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
     last_use[layout.result_qubit] = len(circuit.gates)  # read after the last gate
     for i, gate in enumerate(circuit.gates):
         *controls, t = gate.qubits
-        if gate.kind == "X":
+        if not controls:  # X
             values[t] = ~values[t]
-        elif gate.kind in ("CNOT", "TOFFOLI"):
+        else:  # CNOT, TOFFOLI: XOR the controls' AND in
             operand = values[controls[0]] if len(controls) == 1 else values[controls[0]] & values[controls[1]]
             values[t] = operand if values[t] is zero else values[t] ^ operand
-        else:
-            raise ValueError(f"{gate.kind} is not a basis permutation")
         for c in controls:
             if last_use[c] == i:
                 values[c] = None
@@ -188,29 +185,11 @@ def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
     return ones * (1 << max(n - 6, 0)) // result.size  # axes of size 1 span both values
 
 
-def _result_bit_view(state: StateVector, layout: CircuitLayout) -> np.ndarray:
-    view = state.amps.reshape([2] * state.num_qubits)
-    return np.moveaxis(view, layout.result_qubit, -1)
-
-
 def success_probability(state: StateVector, layout: CircuitLayout) -> float:
     """Total weight on basis states whose result qubit reads 1; clipped to 1.0
     against summation roundoff (the state norm is 1 within 1e-10)."""
-    view = _result_bit_view(state, layout)
+    view = np.moveaxis(state.amps.reshape([2] * state.num_qubits), layout.result_qubit, -1)
     return min(float(np.sum(np.abs(view[..., 1]) ** 2)), 1.0)
-
-
-def post_measure(state: StateVector, layout: CircuitLayout) -> StateVector | None:
-    """Project onto result = 1 and renormalize; None when the projection
-    carries (numerically) no weight, i.e. the UNSAT branch."""
-    norm = math.sqrt(success_probability(state, layout))
-    if norm < 1e-14:
-        return None
-    amps = state.amps.copy()
-    view = np.moveaxis(amps.reshape([2] * state.num_qubits), layout.result_qubit, -1)
-    view[..., 0] = 0.0
-    amps /= norm
-    return StateVector(state.num_qubits, amps)
 
 
 def collapse_to_qubit(q_squared: float | Fraction) -> tuple[float, float]:

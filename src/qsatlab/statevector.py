@@ -1,4 +1,7 @@
-"""Dense statevector simulator for the five-gate set X/H/CNOT/Toffoli/Phase.
+"""Dense statevector simulator for the three-gate set X/CNOT/Toffoli.
+
+It is kept as the reference the permutation count (sat_circuit.
+count_result_ones) is checked against: q^2 read off a dense simulation.
 
 Basis convention: for a register of N qubits, basis index k encodes qubit
 values with qubit 0 as the most significant bit, so |q0 q1 ... q_{N-1}> sits at
@@ -8,43 +11,21 @@ returns a fresh state. Kernels mutate an exclusively-owned scratch buffer.
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError, QubitCapError
 
-DEFAULT_MAX_QUBITS = 26
+MAX_QUBITS = 26
 _NORM_TOL = 1e-10
 
-_KINDS_ARITY = {"X": 1, "H": 1, "PHASE": 1, "CNOT": 2, "TOFFOLI": 3}
-
-
-def max_qubits() -> int:
-    """Simulator qubit cap; the QSAT_MAX_QUBITS env var overrides the default."""
-    raw = os.environ.get("QSAT_MAX_QUBITS")
-    if not raw:
-        return DEFAULT_MAX_QUBITS
-    message = f"QSAT_MAX_QUBITS must be an integer >= 1, got {raw!r}"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(message) from None
-    if cap < 1:
-        raise ValueError(message)
-    return cap
+_KINDS_ARITY = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
 
 
 def _check_cap(num_qubits: int) -> None:
-    cap = max_qubits()
-    if num_qubits > cap:
-        raise QubitCapError(
-            f"{num_qubits} qubits exceed the simulator cap of {cap} "
-            f"(set QSAT_MAX_QUBITS to override)"
-        )
+    if num_qubits > MAX_QUBITS:
+        raise QubitCapError(f"{num_qubits} qubits exceed the simulator cap of {MAX_QUBITS}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +35,6 @@ class Gate:
 
     kind: str
     qubits: tuple[int, ...]
-    angle: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS_ARITY:
@@ -65,16 +45,10 @@ class Gate:
             raise ValueError(f"qubit indices must be distinct, got {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"negative qubit index in {self.qubits}")
-        if (self.angle is None) == (self.kind == "PHASE"):
-            raise ValueError("angle is required for PHASE and only for PHASE")
 
     @classmethod
     def x(cls, target: int) -> "Gate":
         return cls("X", (target,))
-
-    @classmethod
-    def h(cls, target: int) -> "Gate":
-        return cls("H", (target,))
 
     @classmethod
     def cnot(cls, control: int, target: int) -> "Gate":
@@ -83,10 +57,6 @@ class Gate:
     @classmethod
     def toffoli(cls, c1: int, c2: int, target: int) -> "Gate":
         return cls("TOFFOLI", (c1, c2, target))
-
-    @classmethod
-    def phase(cls, target: int, angle: float) -> "Gate":
-        return cls("PHASE", (target,), angle=float(angle))
 
 
 @dataclass
@@ -148,50 +118,21 @@ def prepare_uniform(n: int, mu: int) -> StateVector:
     return StateVector(n + mu, amps)
 
 
-def dft_state(t: int, num_qubits: int) -> StateVector:
-    """Fourier basis state with amplitudes exp(2*pi*i*t*k / 2^N) / sqrt(2^N),
-    built as per-qubit phase gates on the uniform superposition.
-    """
-    dim = 1 << num_qubits
-    if not 0 <= t < dim:
-        raise ValueError(f"t={t} out of range for {num_qubits} qubits")
-    circ = Circuit(num_qubits)
-    for j in range(num_qubits):
-        weight = 1 << (num_qubits - 1 - j)
-        circ.append(Gate.phase(j, 2.0 * math.pi * t * weight / dim))
-    return run(circ, prepare_uniform(num_qubits, 0))
-
-
 # -- kernels -------------------------------------------------------------------
 
 
-def _axis_view(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    return amps.reshape([2] * num_qubits)
-
-
 def _apply_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    view = _axis_view(amps, num_qubits)
-    if gate.kind == "H":
-        (t,) = gate.qubits
-        idx0, idx1 = _bit_slices(num_qubits, {t: 0}), _bit_slices(num_qubits, {t: 1})
-        a = view[idx0].copy()
-        b = view[idx1]
-        s = 1.0 / math.sqrt(2.0)
-        view[idx0] = (a + b) * s
-        view[idx1] = (a - b) * s
-    elif gate.kind == "PHASE":
-        (t,) = gate.qubits
-        view[_bit_slices(num_qubits, {t: 1})] *= np.exp(1j * gate.angle)
-    else:  # X, CNOT, TOFFOLI: swap the target's halves where every control is 1
-        *controls, t = gate.qubits
-        fixed = dict.fromkeys(controls, 1)
-        idx0 = _bit_slices(num_qubits, {**fixed, t: 0})
-        idx1 = _bit_slices(num_qubits, {**fixed, t: 1})
-        tmp = view[idx0].copy()
-        # A ufunc sees the interleaved halves are disjoint; plain assignment
-        # would buffer the source through a hidden whole-state temporary.
-        np.positive(view[idx1], out=view[idx0])
-        view[idx1] = tmp
+    """Swap the target's halves where every control is 1."""
+    view = amps.reshape([2] * num_qubits)
+    *controls, t = gate.qubits
+    fixed = dict.fromkeys(controls, 1)
+    idx0 = _bit_slices(num_qubits, {**fixed, t: 0})
+    idx1 = _bit_slices(num_qubits, {**fixed, t: 1})
+    tmp = view[idx0].copy()
+    # A ufunc sees the interleaved halves are disjoint; plain assignment
+    # would buffer the source through a hidden whole-state temporary.
+    np.positive(view[idx1], out=view[idx0])
+    view[idx1] = tmp
 
 
 def _bit_slices(num_qubits: int, fixed: dict[int, int]) -> tuple:
@@ -216,28 +157,3 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     except ValueError as exc:
         raise InvariantError(f"circuit output: {exc}") from exc
 
-
-# -- state dump (test fixture format) -------------------------------------------
-
-_DUMP_MAGIC = b"QSV1"
-
-
-def dump_state(state: StateVector) -> bytes:
-    """Serialize: 16-byte header (magic 'QSV1', u32 little-endian num_qubits,
-    8 reserved zero bytes) followed by little-endian (re, im) doubles."""
-    header = _DUMP_MAGIC + struct.pack("<I", state.num_qubits) + b"\x00" * 8
-    pairs = np.empty(2 * state.amps.size, dtype="<f8")
-    pairs[0::2] = state.amps.real
-    pairs[1::2] = state.amps.imag
-    return header + pairs.tobytes()
-
-
-def load_state(blob: bytes) -> StateVector:
-    if blob[:4] != _DUMP_MAGIC:
-        raise ValueError("bad magic: not a QSV1 state dump")
-    (num_qubits,) = struct.unpack("<I", blob[4:8])
-    pairs = np.frombuffer(blob[16:], dtype="<f8")
-    if pairs.size != 2 * (1 << num_qubits):
-        raise ValueError("truncated state dump")
-    amps = pairs[0::2] + 1j * pairs[1::2]
-    return StateVector(int(num_qubits), amps.astype(complex))

@@ -29,7 +29,6 @@ from qsatlab.pipeline import (
     statevector_q_squared,
 )
 from qsatlab.sat_circuit import required_ancillas
-from qsatlab.statevector import prepare_uniform
 
 
 SATLIB_FIXTURE = Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf"
@@ -519,15 +518,6 @@ def test_cli_solves_satlib_file_with_end_marker(capsys):
     assert main(["solve", "--input", str(SATLIB_FIXTURE), "--exit-verdict"]) == 10
 
 
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_cli_rejects_invalid_qubit_cap(monkeypatch, raw):
-    """QSAT_MAX_QUBITS bounds dense states, so the dense simulator is what
-    refuses a bad value."""
-    monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
-    with pytest.raises(ValueError, match="QSAT_MAX_QUBITS must be an integer >= 1"):
-        prepare_uniform(1, 0)
-
-
 @pytest.mark.parametrize("command", ["oracle", "self-check"])
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_cli_rejects_invalid_qubit_cap_in_every_command(tmp_path, capsys, monkeypatch, raw, command):
@@ -667,6 +657,11 @@ def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
         cli.build_parser.cache_clear()
     assert len(built) == 1
     assert "invalid choice: 'warp'" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qsatlab.__all__ if not hasattr(qsatlab, name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", ["qsatlab", "qsatlab.cli"])

@@ -14,11 +14,10 @@ from qsatlab.sat_circuit import (
     build_sat_circuit,
     collapse_to_qubit,
     count_result_ones,
-    post_measure,
     required_ancillas,
     success_probability,
 )
-from qsatlab.statevector import Circuit, Gate, StateVector, prepare_uniform, run
+from qsatlab.statevector import StateVector, prepare_uniform, run
 
 EDGE_FORMULAS = [
     CnfFormula(2, [lits(1, 2)]),
@@ -288,51 +287,12 @@ def test_oracle_and_circuit_counts_agree_at_n20():
     assert 0 < r < 2**20
 
 
-def test_count_result_ones_rejects_non_permutation_gates():
-    _, layout = build_sat_circuit(CnfFormula(2, [lits(1, 2)]))
-    circuit = Circuit(layout.num_qubits, [Gate.h(0)])
-    with pytest.raises(ValueError, match="H is not a basis permutation"):
-        count_result_ones(circuit, layout)
-
-
 def test_input_marginal_stays_uniform():
     formula = CnfFormula(3, [lits(1, 2), lits(-2, 3)])
     circuit, layout = build_sat_circuit(formula)
     out = run(circuit, prepare_uniform(3, layout.mu))
     marginal = (np.abs(out.amps) ** 2).reshape(1 << 3, -1).sum(axis=1)
     assert np.allclose(marginal, 1 / 8, atol=1e-12)
-
-
-def test_post_measure_keeps_only_result_one_branch():
-    formula = CnfFormula(2, [lits(1, 2)])
-    circuit, layout = build_sat_circuit(formula)
-    out = run(circuit, prepare_uniform(2, layout.mu))
-    projected = post_measure(out, layout)
-    assert projected is not None
-    assert abs(np.linalg.norm(projected.amps) - 1) < 1e-12
-    assert np.all(projected.amps.reshape(-1, 2)[:, 0] == 0)
-    kept = np.abs(projected.amps.reshape(-1, 2)[:, 1]) ** 2
-    assert kept.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_post_measure_unsat_branch_is_null():
-    formula = CnfFormula(1, [lits(1), lits(-1)])
-    circuit, layout = build_sat_circuit(formula)
-    out = run(circuit, prepare_uniform(1, layout.mu))
-    assert post_measure(out, layout) is None
-
-
-def test_post_measure_two_branch_state():
-    from qsatlab.sat_circuit import CircuitLayout
-
-    q = 0.25
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = math.sqrt(1 - q**2)
-    amps[0b11] = q
-    layout = CircuitLayout(n_input=1, work_qubits=range(1, 1), result_qubit=1, mu=1)
-    projected = post_measure(StateVector(2, amps), layout)
-    assert projected is not None
-    assert projected.amps[0b11] == pytest.approx(1.0)
 
 
 def test_cap_error_reports_requirements():
