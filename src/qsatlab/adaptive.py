@@ -250,39 +250,31 @@ def fit_exponential_rate(ts, ys, floor: float = FIT_FLOOR) -> float:
 
 
 SAMPLE_STEPS = 400  # steps of the pipeline's classifier over its horizon
+HORIZON_FACTOR = 20.0  # the pipeline's horizon in units of 1/Re(gamma)
 
 
-def classifier_for(g: Susceptibility, horizon_factor: float, threshold: float) -> ClassifierConfig:
-    """The classifier that samples [0, hf / Re(gamma)] in N = SAMPLE_STEPS
-    steps, hf being horizon_factor; ValueError where its readout cannot be
-    trusted. On the damping branch p1(t) = p1(0) exp(-2 Re(gamma) t), p1(0) = 1/2:
-    - The tail starts at Re(gamma) t = hf/2, where p1 = p1(0) e^-hf, and its
-      mean lies below that, so damping is certified iff e^-hf < threshold,
-      that is hf > ln(1/threshold). The coherent branch keeps p1 = p1(0).
-    - The rate fit keeps samples k <= K with p1 > FIT_FLOOR, i.e.
-      K = min(N, ceil(N ln(p1(0)/FIT_FLOOR) / (2 hf)) - 1), and polyfit
-      divides their times by sqrt(sum (k dt)^2). That norm leaves the float
-      range when K < 1, when (K dt)^2 underflows to 0 or when the sum
-      overflows; at hf = 20 that keeps 1.73e-152 < Re(gamma) < 1.27e163.
+def classifier_for(g: Susceptibility) -> ClassifierConfig:
+    """The pipeline's classifier: N = SAMPLE_STEPS steps over
+    [0, HORIZON_FACTOR / Re(gamma)] at threshold 0.1; ValueError where its
+    readout cannot be trusted. On the damping branch p1 = exp(-2 Re(gamma) t)/2:
+    - The tail starts where p1 = p1(0) e^-HORIZON_FACTOR, under the threshold,
+      so damping is certified; the coherent branch keeps p1 = p1(0).
+    - Every sample keeps p1 >= p1(0) e^-40 > FIT_FLOOR, so the rate fit divides
+      all N + 1 sample times by sqrt(sum (k dt)^2), which leaves the float
+      range unless 1.73e-152 < Re(gamma) < 1.27e163.
     - The propagator multiplies each sample time by the generator's
-      eigenvalues, among them -Re(gamma) +- i Im(gamma), so the last
-      sample's phase |Im(gamma)| N dt = |Im(gamma)| hf / Re(gamma) must stay
-      finite: at hf = 20 and Re(gamma) = 1 that keeps |Im(gamma)| below
-      8.988e306.
-    All three refusals hold for the configuration, whichever branch an input
-    selects.
+      eigenvalues, among them -Re(gamma) +- i Im(gamma), so the last sample's
+      phase |Im(gamma)| N dt must stay finite: at Re(gamma) = 1 that keeps
+      |Im(gamma)| below 8.988e306.
+    Both refusals hold whichever branch an input selects.
     """
-    horizon = horizon_factor / g.gamma.real
-    cfg = ClassifierConfig(horizon=horizon, dt=horizon / SAMPLE_STEPS, threshold=threshold)
-    if not horizon_factor > math.log(1.0 / threshold):
-        raise ValueError(f"horizon factor {horizon_factor} must exceed ln(1/threshold) = "
-                         f"{math.log(1.0 / threshold)!r} to certify damping")
-    span = math.log(cfg.probe.p1 / FIT_FLOOR)  # 2 Re(gamma) t at which p1 reaches the floor
-    kept = min(SAMPLE_STEPS, math.ceil(SAMPLE_STEPS * span / (2 * horizon_factor)) - 1)
-    last = kept * cfg.dt
-    if kept < 1 or last * last == 0 or last * last * ((kept + 1) * (2 * kept + 1) / (6 * kept)) == math.inf:
-        raise ValueError(f"Re(gamma)={g.gamma.real!r} with horizon factor {horizon_factor}: the rate fit "
-                         f"needs two samples above {FIT_FLOOR} and squared times inside the float range")
+    horizon = HORIZON_FACTOR / g.gamma.real
+    cfg = ClassifierConfig(horizon=horizon, dt=horizon / SAMPLE_STEPS, threshold=0.1)
+    last = SAMPLE_STEPS * cfg.dt
+    times_squared = last * last * ((SAMPLE_STEPS + 1) * (2 * SAMPLE_STEPS + 1) / (6 * SAMPLE_STEPS))
+    if last * last == 0 or times_squared == math.inf:
+        raise ValueError(f"Re(gamma)={g.gamma.real!r}: the rate fit needs squared sample times "
+                         "inside the float range")
     if not math.isfinite(SAMPLE_STEPS * cfg.dt * abs(g.gamma.imag)):
         raise ValueError(f"Im(gamma)={g.gamma.imag!r} with horizon {horizon!r}: the phase "
                          f"|Im(gamma)| * horizon must stay below {sys.float_info.max!r}")

@@ -39,13 +39,10 @@ def build_parser() -> _Parser:
                        help="DIMACS CNF file")
     solve.add_argument("--mode", choices=MODES)
     solve.add_argument("--amplifier", choices=AMPLIFIERS)
-    solve.add_argument("--a", type=float, help="logistic map parameter")
     solve.add_argument("--gamma-re", type=float)
     solve.add_argument("--gamma-im", type=float)
     solve.add_argument("--e0", type=int)
     solve.add_argument("--e1", type=int)
-    solve.add_argument("--horizon-factor", type=float)
-    solve.add_argument("--threshold", type=float)
     solve.add_argument("--emit", dest="emit_path", metavar="EMIT",
                        help="write report/trace to this path")
     solve.add_argument("--format", choices=FORMATS)
@@ -68,16 +65,12 @@ def _run_solve(args) -> int:
     print(f"input      : {report.input_path}")
     print(f"formula    : n={report.n} m={report.m} mu={report.mu}")
     print(f"q_squared  : {report.q_squared_float!r} (= {report.q_squared_rational})")
-    if report.amplifier_satisfiable is None:
-        print("amplifier  : none")
-    else:
-        print(f"amplifier  : {report.amplifier} -> {'SAT' if report.amplifier_satisfiable else 'UNSAT'}")
+    print(f"amplifier  : {report.amplifier} -> {'SAT' if report.amplifier_satisfiable else 'UNSAT'}")
     print(f"brute force: r={report.reference.r} -> {'SAT' if report.reference.r else 'UNSAT'}")
-    if report.agreement is not None:
-        print(f"agreement  : {report.agreement}")
+    print(f"agreement  : {report.agreement}")
     if cfg.emit_path:
         print(f"emitted    : {cfg.emit_path} ({cfg.format})")
-    if exit_verdict and report.amplifier_satisfiable is not None:
+    if exit_verdict:
         return 10 if report.amplifier_satisfiable else 20
     return 0
 

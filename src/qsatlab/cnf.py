@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import DimacsParseError, EnumerationCapError, InvariantError
 
-#: Enumeration refuses formulas with more variables than this (2^24 = 16.7M
-#: assignments is still desk-scale; override per call if you know what you ask).
+#: Enumeration refuses more variables than this: 2^24 = 16.7M assignments is still desk-scale.
 DEFAULT_ENUMERATION_CAP = 24
 
 #: Enumeration packs 64 assignments per uint64 word: assignment k sits in lane
@@ -344,11 +343,10 @@ def eval_formula(formula: CnfFormula, assignment: Assignment) -> int:
 # -- brute-force counting oracle ----------------------------------------------
 
 
-def _check_cap(n: int, max_vars: int) -> None:
-    if n > max_vars:
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"enumeration over 2^{n} assignments exceeds the cap of "
-            f"2^{max_vars}; raise max_vars explicitly to allow it"
+            f"enumeration over 2^{n} assignments exceeds the cap of 2^{DEFAULT_ENUMERATION_CAP}"
         )
 
 
@@ -363,7 +361,7 @@ def input_columns(n: int) -> tuple[np.ndarray | np.uint64, ...]:
     shared and read-only: variable v <= 6 is _LANE_BITS[v - 1], word variable
     7 + i is [0, ~0] along axis words - 1 - i alone (bit i of the word index).
     Past DEFAULT_ENUMERATION_CAP variables this raises EnumerationCapError."""
-    _check_cap(n, DEFAULT_ENUMERATION_CAP)
+    _check_cap(n)
     words = max(n - 6, 0)
     pattern = np.array([0, _ALL_LANES], dtype=np.uint64)
     pattern.flags.writeable = False  # every word column is a view of it
@@ -457,7 +455,7 @@ def _batches(groups: list, size: int):
         yield batch
 
 
-def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CAP) -> CountSummary:
+def count_satisfying(formula: CnfFormula) -> CountSummary:
     """Count satisfying assignments by full enumeration of all 2^n of them.
 
     This is the reference oracle everything else is checked against: no
@@ -467,10 +465,10 @@ def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CA
     the bits it falsifies; the rows of clauses whose outer literals pin the
     same rows are ANDed first, and each such subcube takes one contiguous
     update. The result is an exact integer and q_squared an exact rational.
-    Past max_vars variables this raises EnumerationCapError before
-    allocating anything.
+    Past DEFAULT_ENUMERATION_CAP variables this raises EnumerationCapError
+    before allocating anything.
     """
-    _check_cap(formula.n, max_vars)
+    _check_cap(formula.n)
     total = 1 << formula.n
     r = _count_models(formula)
     try:
@@ -479,9 +477,9 @@ def count_satisfying(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CA
         raise InvariantError(f"brute-force count: {exc} (r={r}, total={total})") from exc
 
 
-def is_sat(formula: CnfFormula, max_vars: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def is_sat(formula: CnfFormula) -> bool:
     """True iff at least one assignment satisfies the formula."""
-    return count_satisfying(formula, max_vars=max_vars).r >= 1
+    return count_satisfying(formula).r >= 1
 
 
 def lits(*ints: int) -> Clause:

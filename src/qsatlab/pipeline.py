@@ -21,9 +21,8 @@ from .errors import DimacsParseError, EnumerationCapError
 from .sat_circuit import build_sat_circuit, collapse_to_qubit, count_result_ones, required_ancillas
 
 MODES = ("oracle", "statevector")
-AMPLIFIERS = ("chaos", "stochastic", "none")
+AMPLIFIERS = ("chaos", "stochastic")
 FORMATS = ("json", "csv")
-_NO_TRACE = "report has no amplifier trace to emit as CSV"
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,10 @@ class PipelineConfig:
     input_path: str
     mode: str = "oracle"
     amplifier: str = "chaos"
-    a: float = 3.71
     gamma_re: float = 1.0
     gamma_im: float = 0.0
     e0: int = 0
     e1: int = 2
-    horizon_factor: float = 20.0
-    threshold: float = 0.1
     emit_path: str | None = None
     format: str = "json"
 
@@ -48,8 +44,6 @@ class PipelineConfig:
             raise ValueError(f"amplifier must be one of {AMPLIFIERS}, got {self.amplifier!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.emit_path and self.format == "csv" and self.amplifier == "none":
-            raise ValueError(_NO_TRACE)
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class Report:
     mode: str
     amplifier: str
     q_squared_rational: Fraction
-    verdict: "chaos.ChaosVerdict | adaptive.DynVerdict | None"
+    verdict: "chaos.ChaosVerdict | adaptive.DynVerdict"
     reference: CountSummary
     elapsed_s: float
 
@@ -70,14 +64,13 @@ class Report:
         return float(self.q_squared_rational)
 
     @property
-    def amplifier_satisfiable(self) -> bool | None:
-        return None if self.verdict is None else self.verdict.satisfiable
+    def amplifier_satisfiable(self) -> bool:
+        return self.verdict.satisfiable
 
     @property
-    def agreement(self) -> bool | None:
-        """Whether the amplifier's verdict matches brute force; None without one."""
-        sat = self.amplifier_satisfiable
-        return None if sat is None else sat == (self.reference.r >= 1)
+    def agreement(self) -> bool:
+        """Whether the amplifier's verdict matches brute force."""
+        return self.amplifier_satisfiable == (self.reference.r >= 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,7 +84,7 @@ class Report:
             },
             "amplifier": {
                 "kind": self.amplifier,
-                "verdict": self.verdict.summary() if self.verdict is not None else None,
+                "verdict": self.verdict.summary(),
             },
             "reference": {
                 "r": self.reference.r,
@@ -124,8 +117,8 @@ STOCHASTIC_MEMO_SIZE = 16
 
 
 @functools.lru_cache(maxsize=STOCHASTIC_MEMO_SIZE)
-def _stochastic_verdict(alpha0_zero: bool, alpha1_zero: bool, e0: int, e1: int, gamma: complex,
-                        horizon_factor: float, threshold: float) -> adaptive.DynVerdict:
+def _stochastic_verdict(alpha0_zero: bool, alpha1_zero: bool, e0: int, e1: int,
+                        gamma: complex) -> adaptive.DynVerdict:
     """The stochastic verdict of one configuration, decided once per process.
 
     Its key is all that adapt and classify read: q^2 enters only through
@@ -133,7 +126,7 @@ def _stochastic_verdict(alpha0_zero: bool, alpha1_zero: bool, e0: int, e1: int, 
     stands for all. Reports share the verdict, which is frozen with a
     read-only trajectory. A refused configuration raises and stores nothing."""
     g = adaptive.Susceptibility(gamma)
-    classifier = adaptive.classifier_for(g, horizon_factor, threshold)
+    classifier = adaptive.classifier_for(g)
     branch_q2 = 1.0 if alpha0_zero else 0.0 if alpha1_zero else 0.5
     dyn = adaptive.adapt(
         adaptive.InputAmplitudes(*collapse_to_qubit(branch_q2)),
@@ -144,14 +137,11 @@ def _stochastic_verdict(alpha0_zero: bool, alpha1_zero: bool, e0: int, e1: int, 
 
 
 def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
-    """Run the selected amplifier; its verdict, or None for amplifier "none"."""
+    """Run the selected amplifier and return its verdict."""
     if cfg.amplifier == "chaos":
-        return chaos.detect(float(q_squared), max(n, 1), chaos.LogisticParams(cfg.a))
-    if cfg.amplifier == "stochastic":
-        alpha0, alpha1 = collapse_to_qubit(q_squared)
-        return _stochastic_verdict(alpha0 == 0, alpha1 == 0, cfg.e0, cfg.e1,
-                                   complex(cfg.gamma_re, cfg.gamma_im), cfg.horizon_factor, cfg.threshold)
-    return None
+        return chaos.detect(float(q_squared), max(n, 1))
+    alpha0, alpha1 = collapse_to_qubit(q_squared)
+    return _stochastic_verdict(alpha0 == 0, alpha1 == 0, cfg.e0, cfg.e1, complex(cfg.gamma_re, cfg.gamma_im))
 
 
 def run_pipeline(cfg: PipelineConfig) -> Report:
@@ -204,8 +194,6 @@ def render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        if report.verdict is None:
-            raise ValueError(_NO_TRACE)
         return report.verdict.csv
     raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from qsatlab.adaptive import (
+    FIT_FLOOR,
+    HORIZON_FACTOR,
+    SAMPLE_STEPS,
     ClassifierConfig,
     CoherentDynamics,
     DampingDynamics,
@@ -14,6 +17,7 @@ from qsatlab.adaptive import (
     Susceptibility,
     TwoLevelHamiltonian,
     adapt,
+    classifier_for,
     classify,
     damping_closed_form,
     damping_generator,
@@ -241,6 +245,18 @@ def test_classifier_separation_across_gamma_grid():
             sat = classify(adapt(amplitudes_from_q2(1 / 1024), H_DEFAULT, g), cfg)
             unsat = classify(adapt(InputAmplitudes(1.0, 0.0), H_DEFAULT, g), cfg)
             assert sat.satisfiable and not unsat.satisfiable
+
+
+def test_fixed_protocol_certifies_damping_and_fits_every_sample():
+    """The pipeline's tail starts where damping leaves p1 = p1(0) e^-HORIZON_FACTOR,
+    under the threshold, and the last damping sample still lies above the
+    rate fit's floor."""
+    cfg = classifier_for(G_UNIT)
+    assert math.exp(-HORIZON_FACTOR) < cfg.threshold
+    verdict = classify(adapt(amplitudes_from_q2(0.5), H_DEFAULT, G_UNIT), cfg)
+    p1 = verdict.trajectory[:, 1]
+    assert len(p1) == SAMPLE_STEPS + 1 == 401
+    assert verdict.damped and np.all(p1 > FIT_FLOOR)
 
 
 def test_classifier_rejects_weak_probe():

@@ -412,9 +412,6 @@ def test_count_cap():
     big = CnfFormula(25, [lits(1)])
     with pytest.raises(EnumerationCapError, match="exceeds the cap"):
         count_satisfying(big)
-    small = CnfFormula(4, [lits(1)])
-    with pytest.raises(EnumerationCapError):
-        count_satisfying(small, max_vars=3)
 
 
 def test_count_out_of_range_is_an_invariant_error(monkeypatch):

@@ -76,15 +76,6 @@ def test_both_amplifiers_reject_contradiction(tmp_path):
         assert report.agreement
 
 
-def test_amplifier_none_reports_probability_only(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
-    report = run_pipeline(PipelineConfig(input_path=str(path), amplifier="none"))
-    assert report.verdict is None
-    assert report.amplifier_satisfiable is None
-    assert report.agreement is None
-    assert report.q_squared_float == pytest.approx(0.75)
-
-
 def test_statevector_mode_matches_oracle_mode(corpus_dir):
     paths = sorted(corpus_dir.glob("*.cnf"))
     for path in paths:
@@ -240,7 +231,6 @@ def test_damping_inputs_with_different_counts_share_one_verdict(tmp_path, memo):
 
 @pytest.mark.parametrize("change", [
     {"gamma_re": 1.5}, {"gamma_im": 0.25}, {"e0": 1, "e1": 4}, {"e1": 3},
-    {"horizon_factor": 15.0}, {"threshold": 0.2},
 ])
 def test_every_key_field_misses_the_memo(memo, change):
     base = _stochastic(Fraction(3, 4))
@@ -290,23 +280,9 @@ def test_self_check_decides_three_stochastic_configurations(memo, corpus_dir):
     assert memo.cache_info().misses == 3 and memo.cache_info().hits == 85
 
 
-def test_csv_trace_without_amplifier_is_refused_before_the_input_is_read(tmp_path, capsys):
-    out = tmp_path / "trace.csv"
-    with pytest.raises(ValueError, match="no amplifier trace to emit as CSV"):
-        PipelineConfig(input_path="x.cnf", amplifier="none", format="csv", emit_path=str(out))
-    PipelineConfig(input_path="x.cnf", amplifier="none", format="csv")  # nothing to emit
-    missing = tmp_path / "missing.cnf"
-    argv = ["solve", "--input", str(missing), "--amplifier", "none", "--format", "csv", "--emit", str(out)]
-    assert main(argv) == 64  # 66 if the input had been read
-    assert "qsatlab: report has no amplifier trace to emit as CSV" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_render_rejects_invalid_combinations(tmp_path):
     path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
-    report = run_pipeline(PipelineConfig(input_path=str(path), amplifier="none"))
-    with pytest.raises(ValueError, match="no amplifier trace"):
-        render(report, "csv")
+    report = run_pipeline(PipelineConfig(input_path=str(path)))
     with pytest.raises(ValueError, match="reports only"):
         render("not a report", "json")
     with pytest.raises(ValueError, match="format"):
@@ -448,7 +424,9 @@ def test_cli_solve_statevector_with_emit(tmp_path, capsys):
     code = main(["solve", "--input", str(sat), "--mode", "statevector", "--amplifier",
                  "stochastic", "--emit", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["amplifier"]["kind"] == "stochastic"
+    doc = json.loads(out.read_text())
+    assert doc["amplifier"]["kind"] == "stochastic"
+    assert doc["amplifier"]["verdict"]["satisfiable"] is True and doc["agreement"] is True
 
 
 def test_cli_error_codes(tmp_path, capsys):
@@ -461,6 +439,21 @@ def test_cli_error_codes(tmp_path, capsys):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--a", "3.71"], "argument --amplifier: invalid choice: '3.71'"),  # --a abbreviates --amplifier
+    (["--horizon-factor", "20"], "unrecognized arguments: --horizon-factor 20"),
+    (["--threshold", "0.1"], "unrecognized arguments: --threshold 0.1"),
+    (["--amplifier", "none"], "argument --amplifier: invalid choice: 'none'"),
+], ids=["a", "horizon-factor", "threshold", "amplifier-none"])
+def test_cli_refuses_removed_protocol_options_before_reading_input(tmp_path, capsys, option, message):
+    """The decision protocol is fixed: each removed spelling is a usage error
+    (64), raised before the missing input could exit 66."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(tmp_path / "missing.cnf"), *option])
+    assert exc.value.code == 64
+    assert f": error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "self-check"])
@@ -481,13 +474,12 @@ def test_cli_solve_takes_every_default_from_pipeline_config(monkeypatch, capsys)
     monkeypatch.setattr("qsatlab.cli.run_pipeline", capture)
     assert main(["solve", "--input", "x.cnf"]) == 70
     assert main(["solve", "--input", "x.cnf", "--mode", "statevector", "--amplifier", "stochastic",
-                 "--a", "3.9", "--gamma-re", "1.5", "--gamma-im", "0.25", "--e0", "1", "--e1", "4",
-                 "--horizon-factor", "15", "--threshold", "0.2", "--emit", "out.csv", "--format", "csv",
-                 "--exit-verdict"]) == 70
+                 "--gamma-re", "1.5", "--gamma-im", "0.25", "--e0", "1", "--e1", "4",
+                 "--emit", "out.csv", "--format", "csv", "--exit-verdict"]) == 70
     assert seen[0] == PipelineConfig(input_path="x.cnf")
     explicit = PipelineConfig(
-        input_path="x.cnf", mode="statevector", amplifier="stochastic", a=3.9, gamma_re=1.5,
-        gamma_im=0.25, e0=1, e1=4, horizon_factor=15.0, threshold=0.2, emit_path="out.csv", format="csv",
+        input_path="x.cnf", mode="statevector", amplifier="stochastic", gamma_re=1.5,
+        gamma_im=0.25, e0=1, e1=4, emit_path="out.csv", format="csv",
     )
     for field in dataclasses.fields(PipelineConfig):
         got, want = getattr(seen[1], field.name), getattr(explicit, field.name)
@@ -516,22 +508,6 @@ def test_cli_rejects_clause_count_mismatch(tmp_path, capsys):
 
 def test_cli_solves_satlib_file_with_end_marker(capsys):
     assert main(["solve", "--input", str(SATLIB_FIXTURE), "--exit-verdict"]) == 10
-
-
-@pytest.mark.parametrize("command", ["oracle", "self-check"])
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_cli_rejects_invalid_qubit_cap_in_every_command(tmp_path, capsys, monkeypatch, raw, command):
-    """No command builds a dense state, so none reads QSAT_MAX_QUBITS: with a
-    bad value, or a cap of one qubit, each still decides."""
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
-    monkeypatch.setenv("QSAT_MAX_QUBITS", raw)
-    if command == "self-check":
-        assert main(["self-check", "--corpus", str(tmp_path)]) == 0
-    else:
-        assert main(["solve", "--input", str(sat), "--mode", command, "--exit-verdict"]) == 10
-    monkeypatch.setenv("QSAT_MAX_QUBITS", "1")
-    assert main(["solve", "--input", str(sat), "--mode", "statevector", "--exit-verdict"]) == 10
-    assert "QSAT_MAX_QUBITS" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--gamma-re", "--gamma-im"])
@@ -567,49 +543,18 @@ def sat_and_unsat(tmp_path):
             _write(tmp_path, "unsat.cnf", CnfFormula(1, [lits(1), lits(-1)])))
 
 
-@pytest.mark.parametrize("threshold", [0.5, 0.1, 1e-3, 1e-10, 1e-100, 1e-300])
-def test_horizon_factor_refused_unless_it_certifies_damping(capfd, sat_and_unsat, threshold):
-    """Damping is certified iff hf > ln(1/threshold); at or below it, exit 64."""
-    bound = math.log(1 / threshold)
-    below = [bound, math.nextafter(bound, 0), 0.99 * bound, 0.5 * bound, 1e-300]
-    above = [math.nextafter(bound, math.inf), 1.01 * bound, 2 * bound]
-    for hf in below + above:
-        decided = _decide_or_refuse(capfd, sat_and_unsat, "--horizon-factor", repr(hf),
-                                    "--threshold", repr(threshold))
-        assert decided == (hf in above), hf
-
-
-def test_short_horizon_is_refused_with_its_bound(capfd, corpus_dir):
-    assert main(["solve", "--input", str(corpus_dir / "05_two_var_or.cnf"),
-                 "--amplifier", "stochastic", "--horizon-factor", "1"]) == 64
-    assert "must exceed ln(1/threshold) = 2.302585092994046" in capfd.readouterr().err
-
-
-@pytest.mark.parametrize("horizon_factor", [20.0, 1000.0])
-def test_gamma_sweep_decides_or_refuses_cleanly(capfd, sat_and_unsat, horizon_factor):
+def test_gamma_sweep_decides_or_refuses_cleanly(capfd, sat_and_unsat):
     """Every decade of Re(gamma), and of Im(gamma) at Re(gamma) = 1, decides
-    correctly or exits 64 without LAPACK or numpy noise. At hf = 20 the decided
-    Re(gamma) range is 1e-151..1e163; Im(gamma) of either sign decides while
-    |Im(gamma)| * hf stays finite."""
+    correctly or exits 64 without LAPACK or numpy noise. The decided Re(gamma)
+    range is 1e-151..1e163; Im(gamma) of either sign decides while
+    |Im(gamma)| * HORIZON_FACTOR stays finite."""
     decided = [k for k in range(-308, 309)
-               if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-re", f"1e{k}",
-                                    "--horizon-factor", repr(horizon_factor))]
-    assert decided == list(range(decided[0], decided[-1] + 1))
-    if horizon_factor == 20.0:
-        assert (decided[0], decided[-1]) == (-151, 163)
-    last = {20.0: 306, 1000.0: 305}[horizon_factor]
+               if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-re", f"1e{k}")]
+    assert decided == list(range(-151, 164))
     decided = [k for k in range(-308, 309)
-               if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-im", f"1e{k}",
-                                    "--horizon-factor", repr(horizon_factor))]
-    assert decided == list(range(-308, last + 1))
-    assert [_decide_or_refuse(capfd, sat_and_unsat, f"--gamma-im=-1e{k}", "--horizon-factor",
-                              repr(horizon_factor)) for k in (last, last + 1)] == [True, False]
-
-
-def test_cli_refuses_a_chaos_window_it_cannot_certify(capsys, corpus_dir):
-    """At a = 2 the needle never crosses 1/2: refused, not reported UNSAT."""
-    assert main(["solve", "--input", str(corpus_dir / "15_needle_n12.cnf"), "--a", "2"]) == 64
-    assert "below 2*sqrt(2)" in capsys.readouterr().err
+               if _decide_or_refuse(capfd, sat_and_unsat, "--gamma-im", f"1e{k}")]
+    assert decided == list(range(-308, 307))
+    assert [_decide_or_refuse(capfd, sat_and_unsat, f"--gamma-im=-1e{k}") for k in (306, 307)] == [True, False]
 
 
 def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
