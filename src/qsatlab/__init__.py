@@ -6,82 +6,43 @@ assignments; the readout weight q^2 = r/2^n is then pushed through one of two
 amplifiers (logistic-map threshold crossing, or a state-adaptive open-system
 probe classified by damping vs oscillation) and cross-checked against the
 brute-force counting oracle.
+
+Public names load their module on first access (PEP 562), so a command
+imports only the modules it runs.
 """
 
-from .adaptive import (
-    ClassifierConfig,
-    DynVerdict,
-    InputAmplitudes,
-    Susceptibility,
-    TwoLevelHamiltonian,
-    adapt,
-    classify,
-    damping_generator,
-)
-from .chaos import ChaosVerdict, LogisticParams, detect, iterate
-from .cnf import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    CountSummary,
-    Literal,
-    count_satisfying,
-    eval_formula,
-    is_sat,
-    parse_dimacs,
-    serialize_dimacs,
-)
-from .dynamics import DensityMatrix2, Superoperator, evolve, spectrum, trace_distance
-from .pipeline import PipelineConfig, Report, run_pipeline, self_check
-from .sat_circuit import (
-    CircuitLayout,
-    build_sat_circuit,
-    collapse_to_qubit,
-    success_probability,
-)
-from .statevector import Circuit, Gate, StateVector, prepare_uniform, run
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "ChaosVerdict",
-    "Circuit",
-    "CircuitLayout",
-    "ClassifierConfig",
-    "Clause",
-    "CnfFormula",
-    "CountSummary",
-    "DensityMatrix2",
-    "DynVerdict",
-    "Gate",
-    "InputAmplitudes",
-    "Literal",
-    "LogisticParams",
-    "PipelineConfig",
-    "Report",
-    "StateVector",
-    "Superoperator",
-    "Susceptibility",
-    "TwoLevelHamiltonian",
-    "adapt",
-    "build_sat_circuit",
-    "classify",
-    "collapse_to_qubit",
-    "count_satisfying",
-    "damping_generator",
-    "detect",
-    "eval_formula",
-    "evolve",
-    "is_sat",
-    "iterate",
-    "parse_dimacs",
-    "prepare_uniform",
-    "run",
-    "run_pipeline",
-    "self_check",
-    "serialize_dimacs",
-    "spectrum",
-    "success_probability",
-    "trace_distance",
-]
+# The module that defines each public name.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "adaptive": ("ClassifierConfig", "DynVerdict", "InputAmplitudes", "Susceptibility",
+                     "TwoLevelHamiltonian", "adapt", "classify", "collapse_to_qubit",
+                     "damping_generator"),
+        "chaos": ("ChaosVerdict", "LogisticParams", "detect", "iterate"),
+        "cnf": ("Assignment", "Clause", "CnfFormula", "CountSummary", "Literal", "count_satisfying",
+                "eval_formula", "is_sat", "parse_dimacs", "serialize_dimacs"),
+        "dynamics": ("DensityMatrix2", "Superoperator", "evolve", "spectrum", "trace_distance"),
+        "pipeline": ("PipelineConfig", "Report", "run_pipeline", "self_check"),
+        "sat_circuit": ("CircuitLayout", "build_sat_circuit", "success_probability"),
+        "statevector": ("Circuit", "Gate", "StateVector", "prepare_uniform", "run"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -25,6 +25,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +52,18 @@ class InputAmplitudes:
         norm = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"|alpha0|^2 + |alpha1|^2 = {norm} is not 1 within 1e-12")
+
+
+def collapse_to_qubit(q_squared: float | Fraction) -> tuple[float, float]:
+    """Amplitudes (sqrt(1-q^2), sqrt(q^2)) of the single-qubit summary state
+    handed to the amplifiers."""
+    q2 = float(q_squared)
+    if q2 < 0.0 or q2 > 1.0:
+        if -1e-12 <= q2 < 0.0 or 1.0 < q2 <= 1.0 + 1e-12:
+            q2 = min(max(q2, 0.0), 1.0)  # forgive float roundoff at the edges
+        else:
+            raise ValueError(f"q_squared={q2} outside [0, 1]")
+    return math.sqrt(1.0 - q2), math.sqrt(q2)
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,14 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # built on first use, then reused: in-process callers solve many times
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qsatlab", description="SAT decision laboratory")
+    # allow_abbrev=False: a prefix such as --a is an unknown option, never --amplifier.
+    parser = _Parser(prog="qsatlab", description="SAT decision laboratory", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Options the user leaves out stay out of the namespace, so every solve
     # default comes from PipelineConfig alone.
     solve = sub.add_parser("solve", help="decide one DIMACS instance",
-                           argument_default=argparse.SUPPRESS)
+                           argument_default=argparse.SUPPRESS, allow_abbrev=False)
     solve.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
                        help="DIMACS CNF file")
     solve.add_argument("--mode", choices=MODES)
@@ -51,7 +52,8 @@ def build_parser() -> _Parser:
         help="exit 10 when SAT, 20 when UNSAT (script-friendly)",
     )
 
-    check = sub.add_parser("self-check", help="regression harness over a corpus directory")
+    check = sub.add_parser("self-check", help="regression harness over a corpus directory",
+                           allow_abbrev=False)
     check.add_argument("--corpus", required=True, help="directory of .cnf files")
     return parser
 

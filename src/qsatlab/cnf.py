@@ -322,6 +322,23 @@ def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
     return tuple(c for c in formula.clauses if not c.pos & c.neg)
 
 
+def required_ancillas(formula: CnfFormula) -> int:
+    """Ancilla count mu of the formula's evaluation circuit (sat_circuit).
+
+    mu = sum over kept clauses of (|C|-1) + (m-1) + 1, degenerating to 1 for
+    constant formulas; linear in m*n since kept clauses are minimal.
+    """
+    return _ancillas(filter_minimal(formula))
+
+
+def _ancillas(active: tuple[Clause, ...]) -> int:
+    """required_ancillas for the kept clauses themselves: the sum, sum |C| - m
+    + (m - 1) + 1, is their literal count, read off the masks."""
+    if not active or not all(c.pos | c.neg for c in active):
+        return 1
+    return sum(c.pos.bit_count() + c.neg.bit_count() for c in active)
+
+
 # -- evaluation ----------------------------------------------------------------
 
 

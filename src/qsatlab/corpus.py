@@ -12,8 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cnf import Clause, CnfFormula, Literal, count_satisfying, lits, serialize_dimacs
-from .sat_circuit import required_ancillas
+from .cnf import Clause, CnfFormula, Literal, count_satisfying, lits, required_ancillas, serialize_dimacs
 
 _SEED = 20250809
 

@@ -14,11 +14,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import adaptive, chaos
-from .cnf import DEFAULT_ENUMERATION_CAP, CnfFormula, CountSummary, count_satisfying, parse_dimacs
+from . import chaos
+from .cnf import (DEFAULT_ENUMERATION_CAP, CnfFormula, CountSummary, count_satisfying, parse_dimacs,
+                  required_ancillas)
 from .errors import DimacsParseError, EnumerationCapError
-from .sat_circuit import build_sat_circuit, collapse_to_qubit, count_result_ones, required_ancillas
+
+if TYPE_CHECKING:  # imported on first use, in _stochastic_verdict
+    from . import adaptive
 
 MODES = ("oracle", "statevector")
 AMPLIFIERS = ("chaos", "stochastic")
@@ -104,6 +108,8 @@ def statevector_q_squared(formula: CnfFormula) -> Fraction:
 
 def _circuit_count(formula: CnfFormula) -> tuple[Fraction, int]:
     """statevector_q_squared and the ancilla count mu of the circuit it built."""
+    from .sat_circuit import build_sat_circuit, count_result_ones  # here: oracle solves never load it
+
     circuit, layout = build_sat_circuit(formula)
     return Fraction(count_result_ones(circuit, layout), 1 << formula.n), layout.mu
 
@@ -117,19 +123,23 @@ STOCHASTIC_MEMO_SIZE = 16
 
 
 @functools.lru_cache(maxsize=STOCHASTIC_MEMO_SIZE)
-def _stochastic_verdict(alpha0_zero: bool, alpha1_zero: bool, e0: int, e1: int,
+def _stochastic_verdict(q2_one: bool, q2_zero: bool, e0: int, e1: int,
                         gamma: complex) -> adaptive.DynVerdict:
     """The stochastic verdict of one configuration, decided once per process.
 
     Its key is all that adapt and classify read: q^2 enters only through
-    adapt's exact zero tests on the amplitudes, so any input of the branch
-    stands for all. Reports share the verdict, which is frozen with a
-    read-only trajectory. A refused configuration raises and stores nothing."""
+    adapt's exact zero tests on the amplitudes collapse_to_qubit gives, which
+    for q^2 = r/2^n (n <= 24, so 1 - q^2 is exact in a double) are q^2 == 1
+    and q^2 == 0; any input of the branch stands for all. Reports share the
+    verdict, which is frozen with a read-only trajectory. A refused
+    configuration raises and stores nothing."""
+    from . import adaptive  # here: chaos solves never load it, and memo hits skip it
+
     g = adaptive.Susceptibility(gamma)
     classifier = adaptive.classifier_for(g)
-    branch_q2 = 1.0 if alpha0_zero else 0.0 if alpha1_zero else 0.5
+    branch_q2 = 1.0 if q2_one else 0.0 if q2_zero else 0.5
     dyn = adaptive.adapt(
-        adaptive.InputAmplitudes(*collapse_to_qubit(branch_q2)),
+        adaptive.InputAmplitudes(*adaptive.collapse_to_qubit(branch_q2)),
         adaptive.TwoLevelHamiltonian(e0, e1),
         g,
     )
@@ -140,8 +150,8 @@ def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
     """Run the selected amplifier and return its verdict."""
     if cfg.amplifier == "chaos":
         return chaos.detect(float(q_squared), max(n, 1))
-    alpha0, alpha1 = collapse_to_qubit(q_squared)
-    return _stochastic_verdict(alpha0 == 0, alpha1 == 0, cfg.e0, cfg.e1, complex(cfg.gamma_re, cfg.gamma_im))
+    return _stochastic_verdict(q_squared == 1, q_squared == 0, cfg.e0, cfg.e1,
+                               complex(cfg.gamma_re, cfg.gamma_im))
 
 
 def run_pipeline(cfg: PipelineConfig) -> Report:

@@ -23,13 +23,12 @@ register width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, filter_minimal, input_columns, live_lanes
+from .cnf import Clause, CnfFormula, _ancillas, filter_minimal, input_columns, live_lanes
+from .cnf import required_ancillas  # noqa: F401  (re-exported: the mu this module builds)
 from .statevector import Circuit, Gate, StateVector
 
 
@@ -45,23 +44,6 @@ class CircuitLayout:
     @property
     def num_qubits(self) -> int:
         return self.n_input + self.mu
-
-
-def required_ancillas(formula: CnfFormula) -> int:
-    """Ancilla count mu for the standard construction.
-
-    mu = sum over kept clauses of (|C|-1) + (m-1) + 1, degenerating to 1 for
-    constant formulas; linear in m*n since kept clauses are minimal.
-    """
-    return _ancillas(filter_minimal(formula))
-
-
-def _ancillas(active: tuple[Clause, ...]) -> int:
-    """required_ancillas for the kept clauses themselves: the sum, sum |C| - m
-    + (m - 1) + 1, is their literal count, read off the masks."""
-    if not active or not all(c.pos | c.neg for c in active):
-        return 1
-    return sum(c.pos.bit_count() + c.neg.bit_count() for c in active)
 
 
 @dataclass(frozen=True)
@@ -190,15 +172,3 @@ def success_probability(state: StateVector, layout: CircuitLayout) -> float:
     against summation roundoff (the state norm is 1 within 1e-10)."""
     view = np.moveaxis(state.amps.reshape([2] * state.num_qubits), layout.result_qubit, -1)
     return min(float(np.sum(np.abs(view[..., 1]) ** 2)), 1.0)
-
-
-def collapse_to_qubit(q_squared: float | Fraction) -> tuple[float, float]:
-    """Amplitudes (sqrt(1-q^2), sqrt(q^2)) of the single-qubit summary state
-    handed to the amplifiers."""
-    q2 = float(q_squared)
-    if q2 < 0.0 or q2 > 1.0:
-        if -1e-12 <= q2 < 0.0 or 1.0 < q2 <= 1.0 + 1e-12:
-            q2 = min(max(q2, 0.0), 1.0)  # forgive float roundoff at the edges
-        else:
-            raise ValueError(f"q_squared={q2} outside [0, 1]")
-    return math.sqrt(1.0 - q2), math.sqrt(q2)

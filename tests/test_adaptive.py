@@ -19,6 +19,7 @@ from qsatlab.adaptive import (
     adapt,
     classifier_for,
     classify,
+    collapse_to_qubit,
     damping_closed_form,
     damping_generator,
     damping_rates,
@@ -35,7 +36,6 @@ from qsatlab.dynamics import (
     unvec,
     vec,
 )
-from qsatlab.sat_circuit import collapse_to_qubit
 
 H_DEFAULT = TwoLevelHamiltonian(0, 2)
 G_UNIT = Susceptibility(1.0)

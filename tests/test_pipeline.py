@@ -96,7 +96,7 @@ def test_statevector_mode_refuses_too_many_inputs(tmp_path, capsys, monkeypatch)
 
     def never_built(formula):
         raise AssertionError("the circuit was built before the input count was checked")
-    monkeypatch.setattr("qsatlab.pipeline.build_sat_circuit", never_built)
+    monkeypatch.setattr("qsatlab.sat_circuit.build_sat_circuit", never_built)
     with pytest.raises(EnumerationCapError, match=r"statevector mode enumerates all 2\^n inputs but n=25"):
         run_pipeline(PipelineConfig(input_path=str(path), mode="statevector"))
     assert main(["solve", "--input", str(path), "--mode", "statevector"]) == 64
@@ -442,7 +442,7 @@ def test_cli_error_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, message", [
-    (["--a", "3.71"], "argument --amplifier: invalid choice: '3.71'"),  # --a abbreviates --amplifier
+    (["--a", "3.71"], "unrecognized arguments: --a 3.71"),  # not an abbreviation of --amplifier
     (["--horizon-factor", "20"], "unrecognized arguments: --horizon-factor 20"),
     (["--threshold", "0.1"], "unrecognized arguments: --threshold 0.1"),
     (["--amplifier", "none"], "argument --amplifier: invalid choice: 'none'"),
@@ -452,6 +452,22 @@ def test_cli_refuses_removed_protocol_options_before_reading_input(tmp_path, cap
     (64), raised before the missing input could exit 66."""
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--input", str(tmp_path / "missing.cnf"), *option])
+    assert exc.value.code == 64
+    assert f": error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--input", "{sat}", "--a", "stochastic"], "unrecognized arguments: --a stochastic"),
+    (["solve", "--input", "{sat}", "--amp", "chaos"], "unrecognized arguments: --amp chaos"),
+    (["solve", "--inp", "{sat}"], "the following arguments are required: --input"),
+    (["self-check", "--corp", "{corpus}"], "the following arguments are required: --corpus"),
+], ids=["a", "amp", "inp", "corp"])
+def test_cli_refuses_option_abbreviations(tmp_path, capsys, argv, message):
+    """A prefix of an option is a usage error, never the option itself, so an
+    option removed later cannot be read as a live one it prefixes."""
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(sat=sat, corpus=tmp_path) for arg in argv])
     assert exc.value.code == 64
     assert f": error: {message}" in capsys.readouterr().err
 
@@ -609,13 +625,42 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("module", ["qsatlab", "qsatlab.cli"])
-def test_import_leaves_scipy_unloaded(module):
-    probe = f"import sys, {module}; print('scipy' in sys.modules)"
+def _fresh_python(probe: str) -> str:
+    """Last line a fresh interpreter prints running `probe` against this qsatlab."""
     src = str(Path(qsatlab.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["qsatlab", "qsatlab.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    assert _fresh_python(f"import sys, {module}; print('scipy' in sys.modules)") == "False"
+
+
+CLI_MODULES = ["qsatlab", "qsatlab.chaos", "qsatlab.cli", "qsatlab.cnf", "qsatlab.errors", "qsatlab.pipeline"]
+
+
+@pytest.mark.parametrize("mode, amplifier, added", [
+    ("oracle", "chaos", []),
+    ("statevector", "chaos", ["qsatlab.sat_circuit", "qsatlab.statevector"]),
+    ("oracle", "stochastic", ["qsatlab.adaptive", "qsatlab.dynamics"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, mode, amplifier, added):
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    argv = ["solve", "--input", str(path), "--mode", mode, "--amplifier", amplifier]
+    probe = ("import json, sys, qsatlab.cli\n"
+             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'qsatlab')\n"
+             "before = loaded()\n"
+             f"code = qsatlab.cli.main({argv!r})\n"
+             "print(json.dumps([code, before, sorted(set(loaded()) - set(before))]))")
+    assert json.loads(_fresh_python(probe)) == [0, CLI_MODULES, added]
+
+
+def test_star_import_binds_every_exported_name():
+    probe = ("from qsatlab import *\nimport qsatlab\n"
+             "print([name for name in qsatlab.__all__ if name not in globals()], hasattr(qsatlab, 'nope'))")
+    assert _fresh_python(probe) == "[] False"
 
 
 def test_cli_self_check(tmp_path, capsys):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_3cnf, random_test_formula
+from qsatlab.adaptive import collapse_to_qubit
 from qsatlab.cnf import _ROW_VARS, Clause, CnfFormula, Literal, count_satisfying, eval_formula, lits, parse_dimacs
 from qsatlab.errors import EnumerationCapError
 from qsatlab.sat_circuit import (
     build_sat_circuit,
-    collapse_to_qubit,
     count_result_ones,
     required_ancillas,
     success_probability,
