@@ -27,8 +27,8 @@ _MODULE_OF = {
                 "eval_formula", "is_sat", "parse_dimacs", "serialize_dimacs"),
         "dynamics": ("DensityMatrix2", "Superoperator", "evolve", "spectrum", "trace_distance"),
         "pipeline": ("PipelineConfig", "Report", "run_pipeline", "self_check"),
-        "sat_circuit": ("CircuitLayout", "build_sat_circuit", "success_probability"),
-        "statevector": ("Circuit", "Gate", "StateVector", "prepare_uniform", "run"),
+        "sat_circuit": ("build_sat_circuit", "success_probability"),
+        "statevector": ("Circuit", "StateVector", "prepare_uniform", "run"),
     }.items()
     for name in names
 }

@@ -110,8 +110,8 @@ def _circuit_count(formula: CnfFormula) -> tuple[Fraction, int]:
     """statevector_q_squared and the ancilla count mu of the circuit it built."""
     from .sat_circuit import build_sat_circuit, count_result_ones  # here: oracle solves never load it
 
-    circuit, layout = build_sat_circuit(formula)
-    return Fraction(count_result_ones(circuit, layout), 1 << formula.n), layout.mu
+    circuit = build_sat_circuit(formula)
+    return Fraction(count_result_ones(circuit, formula.n), 1 << formula.n), circuit.num_qubits - formula.n
 
 
 # Entries of the stochastic memo. The traffic needs few: self-check meets 3

@@ -1,6 +1,7 @@
 """Builds the reversible circuit that evaluates a CNF formula into a result qubit.
 
-Register layout: input qubits 0..n-1, work ancillas next, result qubit last.
+Register layout: input qubits 0..n-1, work ancillas next, result qubit last,
+so a circuit's ancilla count mu is its width minus n.
 On every computational basis input |eps, 0...0> the circuit leaves the inputs
 in |eps> and writes eval_formula(f, eps) into the result qubit; the work
 ancillas keep the intermediate clause values.
@@ -23,60 +24,28 @@ register width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cnf import Clause, CnfFormula, _ancillas, filter_minimal, input_columns, live_lanes
-from .cnf import required_ancillas  # noqa: F401  (re-exported: the mu this module builds)
-from .statevector import Circuit, Gate, StateVector
+from .statevector import Circuit, StateVector
 
 
-@dataclass(frozen=True)
-class CircuitLayout:
-    """Where the three register sections live inside the built circuit."""
-
-    n_input: int
-    work_qubits: range
-    result_qubit: int
-    mu: int
-
-    @property
-    def num_qubits(self) -> int:
-        return self.n_input + self.mu
-
-
-@dataclass(frozen=True)
-class _Value:
-    """A Boolean value readable from a qubit; `invert` means the qubit holds
-    its complement."""
-
-    qubit: int
-    invert: bool
-
-
-def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
+def build_sat_circuit(formula: CnfFormula) -> Circuit:
     """Build the formula-evaluation circuit out of X/CNOT/Toffoli gates only."""
     n = formula.n
     active = filter_minimal(formula)
     mu = _ancillas(active)
-    total = n + mu
-    layout = CircuitLayout(
-        n_input=n,
-        work_qubits=range(n, total - 1),
-        result_qubit=total - 1,
-        mu=mu,
-    )
+    width = n + mu
+    result = width - 1
     assert mu <= n * formula.num_clauses + 2, "ancilla budget not linear in m*n"
 
-    circuit = Circuit(total)
-
     if not all(c.pos | c.neg for c in active):
-        return circuit, layout  # constant 0: result qubit never touched
+        return Circuit(width)  # constant 0: result qubit never touched
     if not active:
-        circuit.append(Gate.x(layout.result_qubit))  # constant 1
-        return circuit, layout
+        return Circuit(width, [(result,)])  # constant 1
 
+    # A value is a (qubit, invert) pair: `invert` means the qubit holds its complement.
+    gates: list[tuple[int, ...]] = []
     next_work = n
 
     def fresh() -> int:
@@ -85,41 +54,36 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
         next_work += 1
         return q
 
-    def controlled(controls: list[_Value], target: int) -> None:
+    def controlled(controls: list[tuple[int, bool]], target: int) -> None:
         # CNOT or Toffoli on the controls' values: X-wrap each inverted control.
-        wraps = [v.qubit for v in controls if v.invert]
-        for q in wraps:
-            circuit.append(Gate.x(q))
-        if len(controls) == 1:
-            circuit.append(Gate.cnot(controls[0].qubit, target))
-        else:
-            circuit.append(Gate.toffoli(controls[0].qubit, controls[1].qubit, target))
-        for q in reversed(wraps):
-            circuit.append(Gate.x(q))
+        wraps = [(q,) for q, invert in controls if invert]
+        gates.extend(wraps)
+        gates.append((*(q for q, _ in controls), target))
+        gates.extend(reversed(wraps))
 
-    def and_pair(a: _Value, b: _Value, target: int) -> None:
+    def and_pair(a: tuple[int, bool], b: tuple[int, bool], target: int) -> None:
         # Two unit clauses may read the same input qubit: v AND v copies
         # through, v AND NOT v is constant 0 (target stays |0>).
-        if a.qubit != b.qubit:
+        if a[0] != b[0]:
             controlled([a, b], target)
-        elif a.invert == b.invert:
+        elif a[1] == b[1]:
             controlled([a], target)
 
-    def clause_value(clause: Clause) -> _Value:
+    def clause_value(clause: Clause) -> tuple[int, bool]:
         literals = clause.dimacs()
         if len(literals) == 1:
-            return _Value(abs(literals[0]) - 1, invert=literals[0] < 0)
+            return abs(literals[0]) - 1, literals[0] < 0
         # AND of literal complements: a positive literal's complement needs an
         # X-wrap on its input qubit, a negated literal's complement is the raw bit.
-        complements = [_Value(abs(k) - 1, invert=k > 0) for k in literals]
+        complements = [(abs(k) - 1, k > 0) for k in literals]
         acc = fresh()
         controlled(complements[:2], acc)
         for comp in complements[2:]:
             nxt = fresh()
-            controlled([_Value(acc, False), comp], nxt)
+            controlled([(acc, False), comp], nxt)
             acc = nxt
-        circuit.append(Gate.x(acc))  # NOT(AND of complements) = clause OR
-        return _Value(acc, invert=False)
+        gates.append((acc,))  # NOT(AND of complements) = clause OR
+        return acc, False
 
     values = [clause_value(c) for c in active]
 
@@ -130,30 +94,30 @@ def build_sat_circuit(formula: CnfFormula) -> tuple[Circuit, CircuitLayout]:
         and_pair(values[0], values[1], acc)
         for v in values[2:]:
             nxt = fresh()
-            controlled([_Value(acc, False), v], nxt)
+            controlled([(acc, False), v], nxt)
             acc = nxt
-        running = _Value(acc, False)
-    assert next_work == total - 1, "ancilla accounting drifted"
+        running = acc, False
+    assert next_work == result, "ancilla accounting drifted"
 
-    controlled([running], layout.result_qubit)
-    return circuit, layout
+    controlled([running], result)
+    return Circuit(width, gates)
 
 
-def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
+def count_result_ones(circuit: Circuit, n: int) -> int:
     """Number of inputs eps whose result qubit reads 1 after the circuit acts
-    on |eps, 0...0>; 2^n * q^2 exactly. Raises EnumerationCapError past
-    2^DEFAULT_ENUMERATION_CAP inputs.
+    on |eps, 0...0>, the first n qubits being the inputs; 2^n * q^2 exactly.
+    Raises EnumerationCapError past 2^DEFAULT_ENUMERATION_CAP inputs.
 
     Values are never written in place, so qubits share read-only starting
     values and broadcasting widens a value only along the variables it comes
     to depend on; a control's value is dropped after its last use."""
-    n = layout.n_input
     zero = np.uint64(0)
-    values = [*input_columns(n), *[zero] * layout.mu]
-    last_use = {q: i for i, gate in enumerate(circuit.gates) for q in gate.qubits}
-    last_use[layout.result_qubit] = len(circuit.gates)  # read after the last gate
+    values = [*input_columns(n), *[zero] * (circuit.num_qubits - n)]
+    result = circuit.num_qubits - 1
+    last_use = {q: i for i, gate in enumerate(circuit.gates) for q in gate}
+    last_use[result] = len(circuit.gates)  # read after the last gate
     for i, gate in enumerate(circuit.gates):
-        *controls, t = gate.qubits
+        *controls, t = gate
         if not controls:  # X
             values[t] = ~values[t]
         else:  # CNOT, TOFFOLI: XOR the controls' AND in
@@ -162,13 +126,13 @@ def count_result_ones(circuit: Circuit, layout: CircuitLayout) -> int:
         for c in controls:
             if last_use[c] == i:
                 values[c] = None
-    result = values[layout.result_qubit]
-    ones = int(np.bitwise_count(result & live_lanes(n)).sum())
-    return ones * (1 << max(n - 6, 0)) // result.size  # axes of size 1 span both values
+    bits = values[result]
+    ones = int(np.bitwise_count(bits & live_lanes(n)).sum())
+    return ones * (1 << max(n - 6, 0)) // bits.size  # axes of size 1 span both values
 
 
-def success_probability(state: StateVector, layout: CircuitLayout) -> float:
-    """Total weight on basis states whose result qubit reads 1; clipped to 1.0
-    against summation roundoff (the state norm is 1 within 1e-10)."""
-    view = np.moveaxis(state.amps.reshape([2] * state.num_qubits), layout.result_qubit, -1)
-    return min(float(np.sum(np.abs(view[..., 1]) ** 2)), 1.0)
+def success_probability(state: StateVector) -> float:
+    """Total weight on basis states whose result qubit (the last, so the least
+    significant bit) reads 1; clipped to 1.0 against summation roundoff (the
+    state norm is 1 within 1e-10)."""
+    return min(float(np.sum(np.abs(state.amps[1::2]) ** 2)), 1.0)

@@ -3,6 +3,9 @@
 It is kept as the reference the permutation count (sat_circuit.
 count_result_ones) is checked against: q^2 read off a dense simulation.
 
+A gate is the tuple of its qubits, controls first and target last; length 1,
+2 or 3 makes it X, CNOT or Toffoli.
+
 Basis convention: for a register of N qubits, basis index k encodes qubit
 values with qubit 0 as the most significant bit, so |q0 q1 ... q_{N-1}> sits at
 index sum_j q_j * 2^(N-1-j). Completed states are immutable; gate application
@@ -11,7 +14,7 @@ returns a fresh state. Kernels mutate an exclusively-owned scratch buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +23,6 @@ from .errors import InvariantError, QubitCapError
 MAX_QUBITS = 26
 _NORM_TOL = 1e-10
 
-_KINDS_ARITY = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
-
 
 def _check_cap(num_qubits: int) -> None:
     if num_qubits > MAX_QUBITS:
@@ -29,54 +30,22 @@ def _check_cap(num_qubits: int) -> None:
 
 
 @dataclass(frozen=True)
-class Gate:
-    """One gate application; qubits are (target,), (control, target) or
-    (control, control, target)."""
-
-    kind: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in _KINDS_ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != _KINDS_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_KINDS_ARITY[self.kind]} qubits, got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"qubit indices must be distinct, got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-
-    @classmethod
-    def x(cls, target: int) -> "Gate":
-        return cls("X", (target,))
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls("CNOT", (control, target))
-
-    @classmethod
-    def toffoli(cls, c1: int, c2: int, target: int) -> "Gate":
-        return cls("TOFFOLI", (c1, c2, target))
-
-
-@dataclass
 class Circuit:
-    """An ordered gate list on a fixed-width register."""
+    """An immutable gate sequence on a fixed-width register; each gate is
+    checked once, here."""
 
     num_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        for g in self.gates:
-            self._check(g)
-
-    def _check(self, gate: Gate) -> None:
-        if any(q >= self.num_qubits for q in gate.qubits):
-            raise ValueError(f"gate {gate} out of range for {self.num_qubits} qubits")
-
-    def append(self, gate: Gate) -> None:
-        self._check(gate)
-        self.gates.append(gate)
+        object.__setattr__(self, "gates", tuple(map(tuple, self.gates)))
+        for gate in self.gates:
+            if not 1 <= len(gate) <= 3:
+                raise ValueError(f"a gate holds 1 to 3 qubits, got {gate}")
+            if len(set(gate)) != len(gate):
+                raise ValueError(f"qubit indices must be distinct, got {gate}")
+            if min(gate) < 0 or max(gate) >= self.num_qubits:
+                raise ValueError(f"gate {gate} out of range for {self.num_qubits} qubits")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -100,6 +69,8 @@ class StateVector:
     @classmethod
     def computational_basis(cls, num_qubits: int, index: int) -> "StateVector":
         _check_cap(num_qubits)
+        if not 0 <= index < 1 << num_qubits:
+            raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
         amps = np.zeros(1 << num_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(num_qubits, amps)
@@ -121,10 +92,10 @@ def prepare_uniform(n: int, mu: int) -> StateVector:
 # -- kernels -------------------------------------------------------------------
 
 
-def _apply_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
+def _apply_inplace(amps: np.ndarray, num_qubits: int, gate: tuple[int, ...]) -> None:
     """Swap the target's halves where every control is 1."""
     view = amps.reshape([2] * num_qubits)
-    *controls, t = gate.qubits
+    *controls, t = gate
     fixed = dict.fromkeys(controls, 1)
     idx0 = _bit_slices(num_qubits, {**fixed, t: 0})
     idx1 = _bit_slices(num_qubits, {**fixed, t: 1})

@@ -52,8 +52,8 @@ def brute_count(formula: CnfFormula) -> int:
 def dense_q_squared(formula: CnfFormula) -> float:
     """q^2 read off the dense simulation of the formula circuit on the
     uniform superposition."""
-    circuit, layout = build_sat_circuit(formula)
-    return success_probability(run(circuit, prepare_uniform(formula.n, layout.mu)), layout)
+    circuit = build_sat_circuit(formula)
+    return success_probability(run(circuit, prepare_uniform(formula.n, circuit.num_qubits - formula.n)))
 
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -22,7 +22,7 @@ from qsatlab.adaptive import (
     fit_exponential_rate,
 )
 from qsatlab.chaos import LogisticParams, detect, iterate
-from qsatlab.cnf import count_satisfying, parse_dimacs
+from qsatlab.cnf import count_satisfying, parse_dimacs, required_ancillas
 from qsatlab.dynamics import (
     DensityMatrix2,
     PROJ_GROUND,
@@ -35,7 +35,6 @@ from qsatlab.dynamics import (
     vec,
 )
 from qsatlab.pipeline import self_check, statevector_q_squared
-from qsatlab.sat_circuit import required_ancillas
 
 GAMMA_GRID = [complex(re, im) for re in (0.1, 1.0, 10.0) for im in (-1.0, 0.0, 1.0)]
 

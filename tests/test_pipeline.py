@@ -17,7 +17,7 @@ import qsatlab
 from qsatlab import adaptive, cli, pipeline
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
-from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, serialize_dimacs
+from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, required_ancillas, serialize_dimacs
 from qsatlab.corpus import write_corpus
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
 from qsatlab.pipeline import (
@@ -28,7 +28,6 @@ from qsatlab.pipeline import (
     self_check,
     statevector_q_squared,
 )
-from qsatlab.sat_circuit import required_ancillas
 
 
 SATLIB_FIXTURE = Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf"

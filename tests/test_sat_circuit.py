@@ -9,14 +9,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_3cnf, random_test_formula
 from qsatlab.adaptive import collapse_to_qubit
-from qsatlab.cnf import _ROW_VARS, Clause, CnfFormula, Literal, count_satisfying, eval_formula, lits, parse_dimacs
-from qsatlab.errors import EnumerationCapError
-from qsatlab.sat_circuit import (
-    build_sat_circuit,
-    count_result_ones,
+from qsatlab.cnf import (
+    _ROW_VARS,
+    Clause,
+    CnfFormula,
+    Literal,
+    count_satisfying,
+    eval_formula,
+    lits,
+    parse_dimacs,
     required_ancillas,
-    success_probability,
 )
+from qsatlab.errors import EnumerationCapError
+from qsatlab.sat_circuit import build_sat_circuit, count_result_ones, success_probability
 from qsatlab.statevector import StateVector, prepare_uniform, run
 
 EDGE_FORMULAS = [
@@ -36,15 +41,16 @@ EDGE_FORMULAS = [
 def _check_all_basis_inputs(formula: CnfFormula) -> None:
     """Result qubit must reproduce eval_formula on every basis input, with the
     inputs themselves restored."""
-    circuit, layout = build_sat_circuit(formula)
+    circuit = build_sat_circuit(formula)
+    mu = circuit.num_qubits - formula.n
     for assignment in all_assignments(formula.n):
         e = assignment.to_index()
-        basis = StateVector.computational_basis(layout.num_qubits, e << layout.mu)
+        basis = StateVector.computational_basis(circuit.num_qubits, e << mu)
         out = run(circuit, basis)
         idx = int(np.argmax(np.abs(out.amps)))
         assert abs(out.amps[idx]) == pytest.approx(1.0)
         assert idx & 1 == eval_formula(formula, assignment)
-        assert idx >> layout.mu == e
+        assert idx >> mu == e
         assert eval_formula(formula, assignment) == int(brute_eval(formula, assignment.bits))
 
 
@@ -67,8 +73,8 @@ def test_basis_behaviour_on_random_formulas():
 def test_uniform_run_branches():
     """One run on the uniform input checks every assignment branch at once."""
     formula = CnfFormula(3, [lits(1, -2), lits(2, 3), lits(-3)])
-    circuit, layout = build_sat_circuit(formula)
-    out = run(circuit, prepare_uniform(formula.n, layout.mu))
+    circuit = build_sat_circuit(formula)
+    out = run(circuit, prepare_uniform(formula.n, circuit.num_qubits - formula.n))
     per_branch = np.abs(out.amps.reshape(1 << formula.n, -1)) ** 2
     for assignment in all_assignments(formula.n):
         e = assignment.to_index()
@@ -80,9 +86,10 @@ def test_uniform_run_branches():
 
 
 def test_gate_set_is_x_cnot_toffoli_only():
+    """Every gate holds 1-3 distinct qubits: an X, CNOT or Toffoli."""
     for formula in EDGE_FORMULAS:
-        circuit, _ = build_sat_circuit(formula)
-        assert all(g.kind in {"X", "CNOT", "TOFFOLI"} for g in circuit.gates)
+        circuit = build_sat_circuit(formula)
+        assert all(1 <= len(g) == len(set(g)) <= 3 for g in circuit.gates)
 
 
 def test_ancilla_budget_linear_in_formula_size():
@@ -98,29 +105,30 @@ def test_ancilla_budget_linear_in_formula_size():
 
 def test_result_qubit_is_last():
     f = CnfFormula(3, [lits(1, 2), lits(-3)])
-    _, layout = build_sat_circuit(f)
-    assert layout.result_qubit == layout.num_qubits - 1
-    assert layout.work_qubits == range(3, layout.num_qubits - 1)
-    assert layout.mu == required_ancillas(f)
+    circuit = build_sat_circuit(f)
+    width = circuit.num_qubits
+    assert width == 3 + required_ancillas(f)
+    assert circuit.gates[-1][-1] == width - 1  # the last gate writes the result
+    assert all(q < width - 1 for g in circuit.gates[:-1] for q in g)  # nothing else touches it
 
 
 def test_success_probability_examples():
     f = CnfFormula(2, [lits(1, 2)])
-    circuit, layout = build_sat_circuit(f)
-    out = run(circuit, prepare_uniform(2, layout.mu))
-    p = success_probability(out, layout)
+    circuit = build_sat_circuit(f)
+    out = run(circuit, prepare_uniform(2, circuit.num_qubits - 2))
+    p = success_probability(out)
     assert p == pytest.approx(brute_count(f) / 4, abs=1e-12)
     assert p == pytest.approx(0.75, abs=1e-12)
 
     unsat = CnfFormula(1, [lits(1), lits(-1)])
-    circuit, layout = build_sat_circuit(unsat)
-    out = run(circuit, prepare_uniform(1, layout.mu))
-    assert success_probability(out, layout) == 0.0  # exact: gates only permute
+    circuit = build_sat_circuit(unsat)
+    out = run(circuit, prepare_uniform(1, circuit.num_qubits - 1))
+    assert success_probability(out) == 0.0  # exact: gates only permute
 
     empty = CnfFormula(2)
-    circuit, layout = build_sat_circuit(empty)
-    out = run(circuit, prepare_uniform(2, layout.mu))
-    assert success_probability(out, layout) == pytest.approx(1.0, abs=1e-12)
+    circuit = build_sat_circuit(empty)
+    out = run(circuit, prepare_uniform(2, circuit.num_qubits - 2))
+    assert success_probability(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probability_identity_random_corpus():
@@ -130,10 +138,8 @@ def test_probability_identity_random_corpus():
         formula = random_test_formula(rng, max_n=8, max_m=12, allow_empty_clause=True)
         if formula.n + required_ancillas(formula) > 16:
             continue
-        circuit, layout = build_sat_circuit(formula)
-        out = run(circuit, prepare_uniform(formula.n, layout.mu))
         expected = count_satisfying(formula).q_squared
-        assert abs(success_probability(out, layout) - float(expected)) < 1e-10
+        assert abs(dense_q_squared(formula) - float(expected)) < 1e-10
         done += 1
 
 
@@ -141,19 +147,17 @@ def test_probability_identity_random_corpus():
 def test_count_result_ones_matches_dense_and_brute_force(seed):
     formula = random_test_formula(random.Random(seed), max_n=6, max_m=10, allow_empty_clause=True)
     assume(formula.n + required_ancillas(formula) <= 16)
-    circuit, layout = build_sat_circuit(formula)
-    count = count_result_ones(circuit, layout)
+    count = count_result_ones(build_sat_circuit(formula), formula.n)
     assert count == brute_count(formula)
-    dense = success_probability(run(circuit, prepare_uniform(formula.n, layout.mu)), layout)
-    assert abs(dense - count / 2**formula.n) < 1e-10
+    assert abs(dense_q_squared(formula) - count / 2**formula.n) < 1e-10
 
 
 def _count_peak_bytes(formula: CnfFormula) -> tuple[int, int]:
     """The circuit count and the tracemalloc peak of counting alone."""
-    circuit, layout = build_sat_circuit(formula)
+    circuit = build_sat_circuit(formula)
     tracemalloc.start()
     try:
-        count = count_result_ones(circuit, layout)
+        count = count_result_ones(circuit, formula.n)
         return count, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,9 +180,9 @@ def test_threshold_count_matches_oracle_in_little_memory():
     enumeration cap, and at n = 20 it peaks under 2 MiB (one 2^20-bit array
     for each of its 275 qubits would take 34 MiB)."""
     formula = random_3cnf(24, 1)
-    assert count_result_ones(*build_sat_circuit(formula)) == count_satisfying(formula).r == 35
+    assert count_result_ones(build_sat_circuit(formula), formula.n) == count_satisfying(formula).r == 35
     formula = random_3cnf(22, 7)
-    assert count_result_ones(*build_sat_circuit(formula)) == count_satisfying(formula).r == 9
+    assert count_result_ones(build_sat_circuit(formula), formula.n) == count_satisfying(formula).r == 9
     formula = random_3cnf(20, 7)
     count, peak = _count_peak_bytes(formula)
     assert count == count_satisfying(formula).r
@@ -196,7 +200,7 @@ def _formula_over(n: int, rng: random.Random, max_m: int = 8) -> CnfFormula:
 
 
 def _packed_counts(formula: CnfFormula) -> tuple[int, int]:
-    return count_satisfying(formula).r, count_result_ones(*build_sat_circuit(formula))
+    return count_satisfying(formula).r, count_result_ones(build_sat_circuit(formula), formula.n)
 
 
 @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
@@ -217,7 +221,7 @@ def test_packed_counts_agree_up_to_n12(n, seed):
 def test_packed_circuit_count_matches_dense_simulation(seed):
     formula = random_test_formula(random.Random(seed), max_n=10, max_m=6, allow_empty_clause=True)
     assume(formula.n + required_ancillas(formula) <= 16)
-    count = count_result_ones(*build_sat_circuit(formula))
+    count = count_result_ones(build_sat_circuit(formula), formula.n)
     assert abs(dense_q_squared(formula) - count / 2**formula.n) < 1e-10
 
 
@@ -264,7 +268,7 @@ def _row_layout_formulas(draw, n: int) -> CnfFormula:
 def test_packed_counts_agree_where_outer_axes_appear(n, data):
     """From one variable short of a full row (no outer axis) to four outer axes."""
     formula = data.draw(_row_layout_formulas(n))
-    assert count_satisfying(formula).r == count_result_ones(*build_sat_circuit(formula))
+    assert count_satisfying(formula).r == count_result_ones(build_sat_circuit(formula), formula.n)
 
 
 def test_packed_counts_agree_when_a_group_spans_batches():
@@ -275,7 +279,7 @@ def test_packed_counts_agree_when_a_group_spans_batches():
         return lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(lowest, 17), 6)))
 
     formula = CnfFormula(16, [clause(3) for _ in range(200)] + [clause(1) for _ in range(100)])
-    assert count_satisfying(formula).r == count_result_ones(*build_sat_circuit(formula)) == 697
+    assert count_satisfying(formula).r == count_result_ones(build_sat_circuit(formula), formula.n) == 697
 
 
 def test_oracle_and_circuit_counts_agree_at_n20():
@@ -283,24 +287,24 @@ def test_oracle_and_circuit_counts_agree_at_n20():
     run on packed input columns."""
     formula = random_3cnf(20, 7)
     r = count_satisfying(formula).r
-    assert r == count_result_ones(*build_sat_circuit(formula))
+    assert r == count_result_ones(build_sat_circuit(formula), formula.n)
     assert 0 < r < 2**20
 
 
 def test_input_marginal_stays_uniform():
     formula = CnfFormula(3, [lits(1, 2), lits(-2, 3)])
-    circuit, layout = build_sat_circuit(formula)
-    out = run(circuit, prepare_uniform(3, layout.mu))
+    circuit = build_sat_circuit(formula)
+    out = run(circuit, prepare_uniform(3, circuit.num_qubits - 3))
     marginal = (np.abs(out.amps) ** 2).reshape(1 << 3, -1).sum(axis=1)
     assert np.allclose(marginal, 1 / 8, atol=1e-12)
 
 
 def test_cap_error_reports_requirements():
     wide = CnfFormula(25, [lits(*range(1, 9)), lits(*range(9, 17)), lits(*range(17, 26))])
-    circuit, layout = build_sat_circuit(wide)  # the register width is not capped
-    assert layout.num_qubits == 25 + required_ancillas(wide) > 26
+    circuit = build_sat_circuit(wide)  # the register width is not capped
+    assert circuit.num_qubits == 25 + required_ancillas(wide) > 26
     with pytest.raises(EnumerationCapError, match=r"2\^25 assignments exceeds the cap of 2\^24"):
-        count_result_ones(circuit, layout)
+        count_result_ones(circuit, wide.n)
 
 
 def test_collapse_to_qubit():

@@ -9,7 +9,6 @@ from qsatlab.errors import InvariantError, QubitCapError
 from qsatlab.statevector import (
     MAX_QUBITS,
     Circuit,
-    Gate,
     StateVector,
     _apply_inplace,
     prepare_uniform,
@@ -23,11 +22,7 @@ def random_state(rng: random.Random, n: int) -> StateVector:
 
 
 def random_circuit(rng: random.Random, n: int, depth: int) -> Circuit:
-    circ = Circuit(n)
-    for _ in range(depth):
-        arity = rng.randint(1, min(n, 3))
-        circ.append(Gate(("X", "CNOT", "TOFFOLI")[arity - 1], tuple(rng.sample(range(n), arity))))
-    return circ
+    return Circuit(n, [tuple(rng.sample(range(n), rng.randint(1, min(n, 3)))) for _ in range(depth)])
 
 
 # -- state preparation ----------------------------------------------------------
@@ -53,33 +48,39 @@ def test_prepare_uniform_cap():
         StateVector.computational_basis(MAX_QUBITS + 1, 0)
 
 
+@pytest.mark.parametrize("index", [-1, 4])
+def test_computational_basis_refuses_an_index_outside_the_register(index):
+    with pytest.raises(ValueError, match="out of range for 2 qubits"):
+        StateVector.computational_basis(2, index)
+
+
 # -- gate semantics ---------------------------------------------------------------
 
 
-def apply_one(state: StateVector, gate: Gate) -> StateVector:
+def apply_one(state: StateVector, gate: tuple[int, ...]) -> StateVector:
     return run(Circuit(state.num_qubits, [gate]), state)
 
 
 def test_x_flips_basis_state():
     sv = StateVector.computational_basis(1, 0)
-    assert np.allclose(apply_one(sv, Gate.x(0)).amps, [0, 1])
+    assert np.allclose(apply_one(sv, (0,)).amps, [0, 1])
 
 
 def test_qubit_zero_is_most_significant():
     sv = StateVector.computational_basis(2, 0)
-    flipped = apply_one(sv, Gate.x(0))
+    flipped = apply_one(sv, (0,))
     assert np.argmax(np.abs(flipped.amps)) == 2  # |10>
-    flipped = apply_one(sv, Gate.x(1))
+    flipped = apply_one(sv, (1,))
     assert np.argmax(np.abs(flipped.amps)) == 1  # |01>
 
 
 def test_cnot_and_toffoli():
     sv = StateVector.computational_basis(2, 0b10)
-    assert np.argmax(np.abs(apply_one(sv, Gate.cnot(0, 1)).amps)) == 0b11
+    assert np.argmax(np.abs(apply_one(sv, (0, 1)).amps)) == 0b11
     sv = StateVector.computational_basis(3, 0b110)
-    assert np.argmax(np.abs(apply_one(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b111
+    assert np.argmax(np.abs(apply_one(sv, (0, 1, 2)).amps)) == 0b111
     sv = StateVector.computational_basis(3, 0b100)
-    assert np.argmax(np.abs(apply_one(sv, Gate.toffoli(0, 1, 2)).amps)) == 0b100
+    assert np.argmax(np.abs(apply_one(sv, (0, 1, 2)).amps)) == 0b100
 
 
 def test_swap_gate_temporary_is_half_a_state():
@@ -91,7 +92,7 @@ def test_swap_gate_temporary_is_half_a_state():
     expected = np.flip(amps.reshape([2] * n), axis=q).reshape(-1)
     tracemalloc.start()
     try:
-        _apply_inplace(amps, n, Gate.x(q))
+        _apply_inplace(amps, n, (q,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,16 +101,25 @@ def test_swap_gate_temporary_is_half_a_state():
 
 
 def test_gate_validation():
+    with pytest.raises(ValueError, match="1 to 3 qubits"):
+        Circuit(4, [()])
+    with pytest.raises(ValueError, match="1 to 3 qubits"):
+        Circuit(4, [(0, 1, 2, 3)])
     with pytest.raises(ValueError, match="distinct"):
-        Gate.cnot(1, 1)
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        Gate("SWAP", (0, 1))
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        Gate("H", (0,))
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        Gate("PHASE", (0,))
+        Circuit(2, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
-        Circuit(2, [Gate.x(2)])
+        Circuit(2, [(-1, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit(2, [(2,)])
+
+
+def test_circuit_is_immutable():
+    circ = Circuit(2, [[0, 1], (1,)])
+    assert circ.gates == ((0, 1), (1,))
+    with pytest.raises(AttributeError):
+        circ.gates = ()
+    with pytest.raises(AttributeError):
+        circ.num_qubits = 3
 
 
 def test_unitarity_of_random_circuits():
@@ -147,9 +157,8 @@ def test_run_dimension_mismatch():
 
 
 def test_circuit_rejects_out_of_range_gates():
-    circ = Circuit(2)
     with pytest.raises(ValueError):
-        circ.append(Gate.toffoli(0, 1, 2))
+        Circuit(2, [(0, 1, 2)])
 
 
 def test_state_norm_validation():
@@ -162,7 +171,7 @@ def test_norm_drift_in_run_is_an_invariant_error(monkeypatch):
         amps *= 2.0
     monkeypatch.setattr("qsatlab.statevector._apply_inplace", leaky)
     with pytest.raises(InvariantError, match="circuit output: state norm"):
-        run(Circuit(1, [Gate.x(0)]), prepare_uniform(1, 0))
+        run(Circuit(1, [(0,)]), prepare_uniform(1, 0))
 
 
 def test_states_are_immutable():
