@@ -19,10 +19,8 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in {
-        "adaptive": ("ClassifierConfig", "DynVerdict", "InputAmplitudes", "Susceptibility",
-                     "TwoLevelHamiltonian", "adapt", "classify", "collapse_to_qubit",
-                     "damping_generator"),
-        "chaos": ("ChaosVerdict", "LogisticParams", "detect", "iterate"),
+        "adaptive": ("DynVerdict", "adapt", "classify", "damping_generator"),
+        "chaos": ("ChaosVerdict", "detect", "iterate"),
         "cnf": ("Assignment", "Clause", "CnfFormula", "CountSummary", "Literal", "count_satisfying",
                 "eval_formula", "is_sat", "parse_dimacs", "serialize_dimacs"),
         "dynamics": ("DensityMatrix2", "Superoperator", "evolve", "spectrum", "trace_distance"),

@@ -317,9 +317,10 @@ def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
     """The clauses without a complementary pair, in order.
 
     A dropped clause is satisfied by every assignment, so leaving it out of
-    the conjunction leaves the satisfying set untouched. Idempotent.
+    the conjunction leaves the satisfying set untouched. Idempotent. Built
+    from a list, which gives the tuple its size up front.
     """
-    return tuple(c for c in formula.clauses if not c.pos & c.neg)
+    return tuple([c for c in formula.clauses if not c.pos & c.neg])
 
 
 def required_ancillas(formula: CnfFormula) -> int:

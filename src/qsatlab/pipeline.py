@@ -128,22 +128,14 @@ def _stochastic_verdict(q2_one: bool, q2_zero: bool, e0: int, e1: int,
     """The stochastic verdict of one configuration, decided once per process.
 
     Its key is all that adapt and classify read: q^2 enters only through
-    adapt's exact zero tests on the amplitudes collapse_to_qubit gives, which
-    for q^2 = r/2^n (n <= 24, so 1 - q^2 is exact in a double) are q^2 == 1
-    and q^2 == 0; any input of the branch stands for all. Reports share the
-    verdict, which is frozen with a read-only trajectory. A refused
-    configuration raises and stores nothing."""
+    adapt's exact tests q^2 == 1 and q^2 == 0, so any input of the branch
+    stands for all. Reports share the verdict, which is frozen with a
+    read-only trajectory. A refused configuration raises and stores nothing."""
     from . import adaptive  # here: chaos solves never load it, and memo hits skip it
 
-    g = adaptive.Susceptibility(gamma)
-    classifier = adaptive.classifier_for(g)
-    branch_q2 = 1.0 if q2_one else 0.0 if q2_zero else 0.5
-    dyn = adaptive.adapt(
-        adaptive.InputAmplitudes(*adaptive.collapse_to_qubit(branch_q2)),
-        adaptive.TwoLevelHamiltonian(e0, e1),
-        g,
-    )
-    return adaptive.classify(dyn, classifier)
+    horizon = adaptive.horizon_for(gamma)
+    q_squared = 1 if q2_one else 0 if q2_zero else Fraction(1, 2)  # one input of the branch
+    return adaptive.classify(*adaptive.adapt(q_squared, e0, e1, gamma), horizon)
 
 
 def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):

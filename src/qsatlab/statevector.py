@@ -39,6 +39,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(map(tuple, self.gates)))
+        if not {type(q) for gate in self.gates for q in gate} <= {int}:  # no bool, float or numpy integer
+            bad = next(gate for gate in self.gates if any(type(q) is not int for q in gate))
+            raise ValueError(f"qubit indices must be ints, got {bad}")
         for gate in self.gates:
             if not 1 <= len(gate) <= 3:
                 raise ValueError(f"a gate holds 1 to 3 qubits, got {gate}")

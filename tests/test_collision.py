@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsatlab.adaptive import Susceptibility, damping_generator
+from qsatlab.adaptive import damping_generator
 from qsatlab.dynamics import (
     IDENTITY2,
     LOWERING,
@@ -93,7 +93,7 @@ def test_collision_step_is_trace_preserving():
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_collision_model_converges_to_damping_generator_at_first_order(gamma):
-    l_star, _ = damping_generator(Susceptibility(gamma))
+    l_star, _ = damping_generator(gamma)
     probe = DensityMatrix2.plus()
     limit = evolve(l_star, probe, T).matrix
     distances = [trace_distance(collision_state(gamma, n, probe), limit) for n in STEPS]

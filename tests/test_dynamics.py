@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PAULI_Z, anticommutator, commutator, inflating_generator
-from qsatlab.adaptive import Susceptibility, damping_closed_form, damping_generator
+from qsatlab.adaptive import damping_closed_form, damping_generator
 from qsatlab.dynamics import (
     _min_eigenvalue,
     DensityMatrix2,
@@ -124,7 +124,7 @@ def test_expm_rejects_negative_time():
 def test_evolve_identity_cases():
     rng = random.Random(21)
     rho = random_density(rng)
-    l_star, _ = damping_generator(Susceptibility(1.0))
+    l_star, _ = damping_generator(1.0)
     assert np.allclose(evolve(l_star, rho, 0.0).matrix, rho.matrix, atol=1e-12)
     zero = Superoperator(np.zeros((4, 4)), label="zero")
     assert np.allclose(evolve(zero, rho, 7.5).matrix, rho.matrix, atol=1e-12)
@@ -139,7 +139,7 @@ def test_evolve_requires_trace_preserving_generator():
 
 
 def test_propagate_rejects_bad_times():
-    l_star, _ = damping_generator(Susceptibility(1.0))
+    l_star, _ = damping_generator(1.0)
     for ts in ([], [0.0, -1.0], [[0.0, 1.0]], [float("nan")], [float("inf")]):
         with pytest.raises(ValueError, match="times"):
             propagate(l_star, DensityMatrix2.plus(), ts)
@@ -170,7 +170,7 @@ def test_closed_form_eigenvalue_floor_matches_eigvalsh(scale):
 
 
 def test_ground_state_is_invariant_under_damping():
-    l_star, _ = damping_generator(Susceptibility(1.0 + 0.5j))
+    l_star, _ = damping_generator(1.0 + 0.5j)
     rho = DensityMatrix2.ground()
     for t in (0.1, 1.0, 10.0, 50.0):
         assert np.allclose(evolve(l_star, rho, t).matrix, rho.matrix, atol=1e-12)
@@ -179,18 +179,17 @@ def test_ground_state_is_invariant_under_damping():
 def test_evolve_matches_closed_form():
     rng = random.Random(5)
     for gamma in (0.25, 1.0, 2.0 + 1.5j):
-        g = Susceptibility(gamma)
-        l_star, _ = damping_generator(g)
+        l_star, _ = damping_generator(gamma)
         for _ in range(5):
             rho = random_density(rng)
             for t in (0.0, 0.3, 1.7, 6.0):
                 got = evolve(l_star, rho, t).matrix
-                want = damping_closed_form(g, rho, t).matrix
+                want = damping_closed_form(gamma, rho, t).matrix
                 assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_trajectories_stay_physical():
-    l_star, _ = damping_generator(Susceptibility(0.8 + 0.3j))
+    l_star, _ = damping_generator(0.8 + 0.3j)
     rho = DensityMatrix2.plus()
     for t in np.linspace(0.0, 50.0, 26):
         out = evolve(l_star, rho, float(t))
@@ -211,7 +210,7 @@ def test_spectrum_of_zero_generator():
 
 def test_damping_spectrum_matches_analytic_rates():
     for im in (-1.0, 0.0, 1.0):
-        l_star, _ = damping_generator(Susceptibility(1.0 + 1j * im))
+        l_star, _ = damping_generator(1.0 + 1j * im)
         s = spectrum(l_star)
         assert s.zero_modes == 1
         expected = sorted([0.0 + 0j, -2.0 + 0j, -1.0 + 1j * im, -1.0 - 1j * im],
@@ -221,7 +220,7 @@ def test_damping_spectrum_matches_analytic_rates():
 
 def test_damping_gap_positive_across_sweep():
     for re in (0.1, 0.5, 1.0, 4.0, 10.0):
-        l_star, _ = damping_generator(Susceptibility(re))
+        l_star, _ = damping_generator(re)
         s = spectrum(l_star)
         assert s.zero_modes == 1
         assert s.gap == pytest.approx(re, rel=1e-12)
@@ -251,7 +250,7 @@ def test_trace_distance_symmetry_and_triangle():
 
 def test_schrodinger_heisenberg_duality():
     rng = random.Random(99)
-    l_star, l_heis = damping_generator(Susceptibility(1.0 + 0.5j))
+    l_star, l_heis = damping_generator(1.0 + 0.5j)
     for _ in range(100):
         rho = random_density(rng)
         x = random_hermitian(rng)
@@ -262,7 +261,7 @@ def test_schrodinger_heisenberg_duality():
 
 
 def test_heisenberg_population_observable_decays():
-    _, l_heis = damping_generator(Susceptibility(1.0))
+    _, l_heis = damping_generator(1.0)
     obs = heisenberg_evolve(l_heis, PROJ_EXCITED, 1.0)
     assert obs[1, 1].real == pytest.approx(np.exp(-2.0), rel=1e-9)
 

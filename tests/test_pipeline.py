@@ -534,6 +534,16 @@ def test_cli_refuses_infinite_gamma_up_front(tmp_path, capsys, option):
     assert "RuntimeWarning" not in err
 
 
+def test_cli_refuses_a_horizon_past_the_float_range_as_a_rate_fit(tmp_path, capsys):
+    """Re(gamma) = 1e-308 puts the horizon 20/Re(gamma) at inf: the rate fit's
+    refusal names it, as for any Re(gamma) under 1.73e-152."""
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    assert main(["solve", "--input", str(sat), "--amplifier", "stochastic", "--gamma-re", "1e-308"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("qsatlab: Re(gamma)=1e-308: the rate fit needs squared sample times")
+    assert err.count("\n") == 1
+
+
 def _decide_or_refuse(capfd, paths, *options):
     """Solve a SAT and an UNSAT file; each gives the right verdict with a clean
     stderr, or both exit 64 with the one-line refusal alone. Read at the file

@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_3cnf, random_test_formula
-from qsatlab.adaptive import collapse_to_qubit
 from qsatlab.cnf import (
     _ROW_VARS,
     Clause,
@@ -20,7 +18,9 @@ from qsatlab.cnf import (
     parse_dimacs,
     required_ancillas,
 )
+from qsatlab.adaptive import adapt, damping_generator
 from qsatlab.errors import EnumerationCapError
+from qsatlab.pipeline import statevector_q_squared
 from qsatlab.sat_circuit import build_sat_circuit, count_result_ones, success_probability
 from qsatlab.statevector import StateVector, prepare_uniform, run
 
@@ -129,6 +129,25 @@ def test_success_probability_examples():
     circuit = build_sat_circuit(empty)
     out = run(circuit, prepare_uniform(2, circuit.num_qubits - 2))
     assert success_probability(out) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_collapse_to_qubit():
+    """The result qubit collapses the register to the summary state
+    sqrt(1-q^2)|0> + q|1>, whose exact weight q^2 = count/2^n selects adapt's
+    branch: no float rounds a small SAT weight to 0 or a large one to 1."""
+    cases = [
+        (CnfFormula(1, [lits(1), lits(-1)]), Fraction(0)),
+        (CnfFormula(2, [lits(1, 2)]), Fraction(3, 4)),
+        (CnfFormula(8, [lits(v) for v in range(1, 9)]), Fraction(1, 256)),
+        (CnfFormula(2), Fraction(1)),
+    ]
+    damping = damping_generator(1.0)[0].matrix
+    for formula, expected in cases:
+        q_squared = statevector_q_squared(formula)
+        assert type(q_squared) is Fraction and q_squared == expected
+        generator, trivially_sat = adapt(q_squared, 0, 2, 1.0)
+        assert trivially_sat == (q_squared == 1)
+        assert np.array_equal(generator.matrix, damping) == (0 < q_squared < 1)
 
 
 def test_probability_identity_random_corpus():
@@ -306,15 +325,3 @@ def test_cap_error_reports_requirements():
     with pytest.raises(EnumerationCapError, match=r"2\^25 assignments exceeds the cap of 2\^24"):
         count_result_ones(circuit, wide.n)
 
-
-def test_collapse_to_qubit():
-    assert collapse_to_qubit(0.0) == (1.0, 0.0)
-    a0, a1 = collapse_to_qubit(Fraction(3, 4))
-    assert (a0, a1) == (pytest.approx(0.5), pytest.approx(math.sqrt(3) / 2))
-    a0, a1 = collapse_to_qubit(Fraction(1, 256))
-    assert (a0, a1) == (pytest.approx(math.sqrt(255 / 256)), pytest.approx(1 / 16))
-    assert collapse_to_qubit(1.0 + 5e-13) == (0.0, 1.0)
-    with pytest.raises(ValueError, match="outside"):
-        collapse_to_qubit(1.5)
-    with pytest.raises(ValueError, match="outside"):
-        collapse_to_qubit(-0.2)

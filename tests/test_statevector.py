@@ -111,6 +111,9 @@ def test_gate_validation():
         Circuit(2, [(-1, 0)])
     with pytest.raises(ValueError, match="out of range"):
         Circuit(2, [(2,)])
+    for gate in [(0.5,), (1.0, 2), (True, 2)]:
+        with pytest.raises(ValueError, match="must be ints"):
+            Circuit(4, [(0,), gate])
 
 
 def test_circuit_is_immutable():
