@@ -21,8 +21,8 @@ _MODULE_OF = {
     for module, names in {
         "adaptive": ("DynVerdict", "adapt", "classify", "damping_generator"),
         "chaos": ("ChaosVerdict", "detect", "iterate"),
-        "cnf": ("Assignment", "Clause", "CnfFormula", "CountSummary", "Literal", "count_satisfying",
-                "eval_formula", "is_sat", "parse_dimacs", "serialize_dimacs"),
+        "cnf": ("Clause", "CnfFormula", "CountSummary", "Literal", "count_satisfying", "parse_dimacs",
+                "serialize_dimacs"),
         "dynamics": ("DensityMatrix2", "Superoperator", "evolve", "spectrum", "trace_distance"),
         "pipeline": ("PipelineConfig", "Report", "run_pipeline", "self_check"),
         "sat_circuit": ("build_sat_circuit", "success_probability"),

@@ -64,14 +64,15 @@ def _run_solve(args) -> int:
     exit_verdict = options.pop("exit_verdict")
     cfg = PipelineConfig(**options)
     report = run_pipeline(cfg)
-    print(f"input      : {report.input_path}")
-    print(f"formula    : n={report.n} m={report.m} mu={report.mu}")
-    print(f"q_squared  : {report.q_squared_float!r} (= {report.q_squared_rational})")
-    print(f"amplifier  : {report.amplifier} -> {'SAT' if report.amplifier_satisfiable else 'UNSAT'}")
-    print(f"brute force: r={report.reference.r} -> {'SAT' if report.reference.r else 'UNSAT'}")
-    print(f"agreement  : {report.agreement}")
+    summary = (f"input      : {report.input_path}\n"
+               f"formula    : n={report.n} m={report.m} mu={report.mu}\n"
+               f"q_squared  : {report.q_squared_float!r} (= {report.q_squared_rational})\n"
+               f"amplifier  : {report.amplifier} -> {'SAT' if report.amplifier_satisfiable else 'UNSAT'}\n"
+               f"brute force: r={report.reference.r} -> {'SAT' if report.reference.r else 'UNSAT'}\n"
+               f"agreement  : {report.agreement}\n")
     if cfg.emit_path:
-        print(f"emitted    : {cfg.emit_path} ({cfg.format})")
+        summary += f"emitted    : {cfg.emit_path} ({cfg.format})\n"
+    sys.stdout.write(summary)
     if exit_verdict:
         return 10 if report.amplifier_satisfiable else 20
     return 0

@@ -1,13 +1,13 @@
-"""CNF data model, DIMACS parsing, truth evaluation, and the brute-force counting oracle.
+"""CNF data model, DIMACS parsing, and the brute-force counting oracle.
 
 Conventions: a formula over n variables is a conjunction of clauses; a clause is a
 set of literals (duplicates collapse) and is satisfied when any literal evaluates
 true; it is held as two variable bit masks, pos and neg, with bit v set when v
-(or -v) occurs. The empty clause evaluates to 0 (empty join), the empty formula
-to 1 (empty meet). Assignments are bit strings (eps_1, ..., eps_n); to_index
-puts eps_1 in the most significant bit, as the statevector does, but both
-counters enumerate with variable v at bit v - 1 (the masks shifted down by
-one; no count depends on the labelling). Enumeration packs index k into lane
+(or -v) occurs. The empty clause is false (empty join), the empty formula true
+(empty meet). Assignments are bit strings (eps_1, ..., eps_n); the statevector
+puts eps_1 in the most significant bit of a basis index, but both counters
+enumerate with variable v at bit v - 1 (the masks shifted down by one; no
+count depends on the labelling). Enumeration packs index k into lane
 k % 64 of uint64 word k // 64; the counting oracle lays those words out as
 rows of 2^8 contiguous words, indexed by the first word variables, one row
 per value of the later ones.
@@ -80,9 +80,6 @@ class Literal:
             raise ValueError(f"variable index must be >= 1, got {self.var}")
 
 
-_new, _set = object.__new__, object.__setattr__
-
-
 class Clause:
     """A finite set of literals, held as two variable bit masks: bit v of pos
     is set when v occurs, bit v of neg when -v does (bit 0 is never set). A
@@ -93,8 +90,8 @@ class Clause:
 
     def __init__(self, literals: Iterable[Literal] = ()):
         literals = set(literals)
-        _set(self, "pos", sum(1 << l.var for l in literals if not l.negated))
-        _set(self, "neg", sum(1 << l.var for l in literals if l.negated))
+        _set_pos(self, sum(1 << l.var for l in literals if not l.negated))
+        _set_neg(self, sum(1 << l.var for l in literals if l.negated))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Clause is immutable: cannot set or delete {name!r}")
@@ -142,11 +139,15 @@ class Clause:
         return [Literal(abs(k), negated=k < 0) for k in self.dimacs()]
 
 
+#: Clause's slot setters, which write past its refusing __setattr__.
+_set_pos, _set_neg = Clause.pos.__set__, Clause.neg.__set__
+
+
 def _clause(pos: int, neg: int) -> Clause:
     """The clause holding these masks, built without literals."""
-    clause = _new(Clause)
-    _set(clause, "pos", pos)
-    _set(clause, "neg", neg)
+    clause = object.__new__(Clause)
+    _set_pos(clause, pos)
+    _set_neg(clause, neg)
     return clause
 
 
@@ -170,23 +171,6 @@ class CnfFormula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A truth assignment, one bit per variable."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("assignment bits must be 0 or 1")
-
-    def to_index(self) -> int:
-        k = 0
-        for b in self.bits:
-            k = (k << 1) | b
-        return k
 
 
 @dataclass(frozen=True)
@@ -214,57 +198,55 @@ def parse_dimacs(text: str) -> CnfFormula:
     marker) ends the input. A malformed input reports its first fault in
     file order, with that fault's line.
 
-    The clause lines are tokenised together and each literal is ORed straight
-    into its clause's masks; only a faulty token sends the parser back over
-    the lines to find where it sits.
+    The lines after the header are kept without their line numbers and
+    tokenised together; each distinct token is converted once, the range
+    check reads the distinct values, and each literal is ORed straight into
+    its clause's masks. A '%' line or a second header leaves a token that is
+    not an integer, so only a fault or an end marker sends the parser back
+    over the lines (_clause_lines) to find where it sits.
     """
-    n = declared_m = fault = None
-    header_line = lineno = 0
-    body: list[str] = []  # the clause lines, in order
-    where: list[int] = []  # their line numbers
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    n = declared_m = None
+    lineno = 0
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("%"):
             break
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            if n is not None:  # raised once the clause lines above it prove sound
-                fault = DimacsParseError("duplicate header", lineno)
-                break
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsParseError(f"malformed header {line!r}", lineno)
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsParseError(f"non-integer counts in header {line!r}", lineno) from None
-            if n < 0:
-                raise DimacsParseError(f"negative variable count {n}", lineno)
-            header_line = lineno
-            continue
-        if n is None:
+        if not line.startswith("p"):
             raise DimacsParseError(f"clause data before 'p cnf' header: {line!r}", lineno)
-        body.append(line)
-        where.append(lineno)
-
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            raise DimacsParseError(f"malformed header {line!r}", lineno)
+        try:
+            n, declared_m = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise DimacsParseError(f"non-integer counts in header {line!r}", lineno) from None
+        if n < 0:
+            raise DimacsParseError(f"negative variable count {n}", lineno)
+        break
     if n is None:
         raise DimacsParseError("empty input: no 'p cnf' header found", max(lineno, 1))
+    header_line = lineno
+
+    body = [line for raw in lines[header_line:] if (line := raw.strip()) and line[0] != "c"]
+    tokens = " ".join(body).split()
     try:
-        tokens = list(map(int, " ".join(body).split()))
+        value = {tok: int(tok) for tok in set(tokens)}
     except ValueError:
-        tokens = None
-    if tokens is None or tokens and (max(tokens) > n or -min(tokens) > n):
-        _locate(body, where, n)
-    if fault is not None:
-        raise fault
-    if 2 * n * len(tokens) > _MASK_BUDGET and (bits := 2 * sum(map(abs, tokens))) > _MASK_BUDGET:
+        value = None
+    if value is None or value and (max(value.values()) > n or -min(value.values()) > n):
+        body = [line for _, line in _clause_lines(lines, header_line, n)]  # raises at a fault
+        tokens = " ".join(body).split()
+        value = {tok: int(tok) for tok in set(tokens)}
+    ints = list(map(value.__getitem__, tokens))
+    if 2 * n * len(ints) > _MASK_BUDGET and (bits := 2 * sum(map(abs, ints))) > _MASK_BUDGET:
         raise ValueError(f"clause masks over n={n} variables could take {bits >> 23} MiB, "
                          f"over the budget of {_MASK_BUDGET >> 23} MiB")
     clauses: list[Clause] = []
     pos = neg = 0
-    for k in tokens:
+    for k in ints:
         if k > 0:
             pos |= 1 << k
         elif k:
@@ -273,17 +255,29 @@ def parse_dimacs(text: str) -> CnfFormula:
             clauses.append(_clause(pos, neg))
             pos = neg = 0
     if pos | neg:
-        opened = len(tokens) - tokens[::-1].index(0) if 0 in tokens else 0  # the open clause's first token
-        raise DimacsParseError("clause without terminating 0", _locate(body, where, n, opened))
+        opened = len(ints) - ints[::-1].index(0) if 0 in ints else 0  # the open clause's first token
+        for lineno, line in _clause_lines(lines, header_line, n):
+            opened -= len(line.split())
+            if opened < 0:
+                raise DimacsParseError("clause without terminating 0", lineno)
+        raise InvariantError("parse_dimacs: the open clause's first token is on no line")
     if len(clauses) != declared_m:
         raise DimacsParseError(f"header declares {declared_m} clauses, found {len(clauses)}", header_line)
     return CnfFormula(n, clauses)
 
 
-def _locate(body: list[str], where: list[int], n: int, index: int = -1) -> int:
-    """Walk the clause tokens in file order: raise on the first that is not an
-    integer or names a variable past n, else return the line of token index."""
-    for line, lineno in zip(body, where):
+def _clause_lines(lines: list[str], header_line: int, n: int) -> Iterator[tuple[int, str]]:
+    """The clause lines after the header, stripped, with their line numbers,
+    up to a '%' line. Raises at the first fault in file order: a token that
+    is not an integer or names a variable past n, or a second header."""
+    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
+        line = raw.strip()
+        if line.startswith("%"):
+            return
+        if not line or line[0] == "c":
+            continue
+        if line[0] == "p":
+            raise DimacsParseError("duplicate header", lineno)
         for tok in line.split():
             try:
                 k = int(tok)
@@ -291,10 +285,7 @@ def _locate(body: list[str], where: list[int], n: int, index: int = -1) -> int:
                 raise DimacsParseError(f"non-integer token {tok!r}", lineno) from None
             if abs(k) > n:
                 raise DimacsParseError(f"variable {abs(k)} exceeds declared n={n}", lineno)
-            if index == 0:
-                return lineno
-            index -= 1
-    raise InvariantError(f"parse_dimacs: no faulty token found, or no token {index}")
+        yield lineno, line
 
 
 def serialize_dimacs(formula: CnfFormula) -> str:
@@ -306,11 +297,6 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 
 # -- structural operations ----------------------------------------------------
-
-
-def is_minimal(clause: Clause) -> bool:
-    """True iff no variable occurs in both polarities."""
-    return not clause.pos & clause.neg
 
 
 def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
@@ -338,24 +324,6 @@ def _ancillas(active: tuple[Clause, ...]) -> int:
     if not active or not all(c.pos | c.neg for c in active):
         return 1
     return sum(c.pos.bit_count() + c.neg.bit_count() for c in active)
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def eval_literal(lit: Literal, assignment: Assignment) -> int:
-    bit = assignment.bits[lit.var - 1]
-    return 1 - bit if lit.negated else bit
-
-
-def eval_clause(clause: Clause, assignment: Assignment) -> int:
-    """Join over literals; the empty clause is 0."""
-    return max((eval_literal(l, assignment) for l in clause), default=0)
-
-
-def eval_formula(formula: CnfFormula, assignment: Assignment) -> int:
-    """Meet over clauses; the empty formula is 1."""
-    return min((eval_clause(c, assignment) for c in formula.clauses), default=1)
 
 
 # -- brute-force counting oracle ----------------------------------------------
@@ -493,11 +461,6 @@ def count_satisfying(formula: CnfFormula) -> CountSummary:
         return CountSummary(r=r, total=total, q_squared=Fraction(r, total))
     except ValueError as exc:
         raise InvariantError(f"brute-force count: {exc} (r={r}, total={total})") from exc
-
-
-def is_sat(formula: CnfFormula) -> bool:
-    """True iff at least one assignment satisfies the formula."""
-    return count_satisfying(formula).r >= 1
 
 
 def lits(*ints: int) -> Clause:

@@ -146,14 +146,20 @@ def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
                                complex(cfg.gamma_re, cfg.gamma_im))
 
 
+def _read(path: str | Path) -> str:
+    """An input file's text, decoded as UTF-8 whatever the locale; its line
+    ends are left to the parsers' splitlines."""
+    with open(path, "rb") as f:
+        return f.read().decode()
+
+
 def run_pipeline(cfg: PipelineConfig) -> Report:
     """Parse the input file, produce q^2 in the configured mode, amplify, and
     attach the brute-force reference verdict. Both modes enumerate all 2^n
     inputs, so both refuse n > DEFAULT_ENUMERATION_CAP before building
     anything."""
     started = time.perf_counter()
-    text = Path(cfg.input_path).read_text()
-    formula = parse_dimacs(text)
+    formula = parse_dimacs(_read(cfg.input_path))
 
     try:
         reference = count_satisfying(formula)
@@ -201,12 +207,15 @@ def render(report: Report, fmt: str) -> str:
 
 
 def emit(report: Report, fmt: str, path: str | Path) -> Path:
-    """Write a report (json) or its amplifier trace (csv) to disk; bytes are
-    deterministic for fixed inputs (the report's timing field is the one
-    varying key). An unwritable path is a ValueError naming it."""
+    """Write a report (json) or its amplifier trace (csv) to disk, as the
+    encoded bytes of its text; bytes are deterministic for fixed inputs (the
+    report's timing field is the one varying key). An unwritable path is a
+    ValueError naming it."""
     out = Path(path)
+    data = render(report, fmt).encode()
     try:
-        out.write_text(render(report, fmt))
+        with open(path, "wb") as f:
+            f.write(data)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     return out
@@ -291,7 +300,7 @@ def self_check(corpus_dir: str | Path) -> CheckSummary:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
     rows = []
     for path in corpus:
-        text = path.read_text()
+        text = _read(path)
         formula = parse_dimacs(text)
         reference = count_satisfying(formula)
         ref_sat = reference.r >= 1

@@ -3,8 +3,9 @@
 Register layout: input qubits 0..n-1, work ancillas next, result qubit last,
 so a circuit's ancilla count mu is its width minus n.
 On every computational basis input |eps, 0...0> the circuit leaves the inputs
-in |eps> and writes eval_formula(f, eps) into the result qubit; the work
-ancillas keep the intermediate clause values.
+in |eps> and writes the formula's value at eps (1 when every clause holds a
+true literal) into the result qubit; the work ancillas keep the intermediate
+clause values.
 
 Construction: a clause OR is De Morgan'd into a Toffoli chain over literal
 complements (a literal's complement is read off its input qubit, X-wrapped for

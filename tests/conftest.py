@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qsatlab.cnf import Assignment, Clause, CnfFormula, Literal
+from qsatlab.cnf import Clause, CnfFormula, Literal
 from qsatlab.dynamics import IDENTITY2, Superoperator, vec
 from qsatlab.sat_circuit import build_sat_circuit, success_probability
 from qsatlab.statevector import prepare_uniform, run
@@ -54,6 +54,61 @@ def dense_q_squared(formula: CnfFormula) -> float:
     uniform superposition."""
     circuit = build_sat_circuit(formula)
     return success_probability(run(circuit, prepare_uniform(formula.n, circuit.num_qubits - formula.n)))
+
+
+def reference_parse(text: str) -> tuple[int, list[list[int]]] | tuple[str, int]:
+    """DIMACS read line by line and token by token, stopping at the first
+    fault: (n, clauses as signed ints in file order), or (message, line) for
+    the fault the parser must report. The end-of-input faults come last: an
+    unterminated clause at the line of its first token, then a clause count
+    that differs from the header's."""
+    n = declared = None
+    header_line = open_line = lineno = 0
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line[:1] == "%":
+            break
+        if line == "" or line[0] == "c":
+            continue
+        if line[0] == "p":
+            if n is not None:
+                return "duplicate header", lineno
+            fields = line.split()
+            if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
+                return f"malformed header {line!r}", lineno
+            try:
+                n, declared = int(fields[2]), int(fields[3])
+            except ValueError:
+                return f"non-integer counts in header {line!r}", lineno
+            if n < 0:
+                return f"negative variable count {n}", lineno
+            header_line = lineno
+            continue
+        if n is None:
+            return f"clause data before 'p cnf' header: {line!r}", lineno
+        for token in line.split():
+            try:
+                literal = int(token)
+            except ValueError:
+                return f"non-integer token {token!r}", lineno
+            if abs(literal) > n:
+                return f"variable {abs(literal)} exceeds declared n={n}", lineno
+            if literal == 0:
+                clauses.append(current)
+                current = []
+            else:
+                if not current:
+                    open_line = lineno
+                current.append(literal)
+    if n is None:
+        return "empty input: no 'p cnf' header found", max(lineno, 1)
+    if current:
+        return "clause without terminating 0", open_line
+    if len(clauses) != declared:
+        return f"header declares {declared} clauses, found {len(clauses)}", header_line
+    return n, clauses
 
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -97,8 +152,16 @@ def random_3cnf(n: int, seed: int) -> CnfFormula:
 
 
 def all_assignments(n: int):
-    for bits in itertools.product((0, 1), repeat=n):
-        yield Assignment(bits)
+    """Every assignment (eps_1, ..., eps_n) as a bit tuple, in basis-index order."""
+    return itertools.product((0, 1), repeat=n)
+
+
+def basis_index(bits: tuple[int, ...]) -> int:
+    """The statevector's index of an assignment's inputs: eps_1 most significant."""
+    k = 0
+    for b in bits:
+        k = (k << 1) | b
+    return k
 
 
 @pytest.fixture(scope="session")

@@ -9,20 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_assignments, brute_count, random_3cnf, random_test_formula
+from conftest import all_assignments, brute_count, brute_eval, random_3cnf, random_test_formula, reference_parse
 from qsatlab.cnf import (
-    Assignment,
     Clause,
     CnfFormula,
     CountSummary,
     Literal,
     count_satisfying,
-    eval_clause,
-    eval_formula,
     filter_minimal,
     input_columns,
-    is_minimal,
-    is_sat,
     lits,
     parse_dimacs,
     serialize_dimacs,
@@ -147,6 +142,68 @@ def test_parse_refuses_clause_masks_over_budget():
     assert near.n == 2_000_000 and near.clauses == (lits(1, -2, 3),) * 600
 
 
+@st.composite
+def _dimacs_texts(draw) -> str:
+    """DIMACS text over at most 6 variables with comments, blank lines and
+    LF or CRLF endings, then up to three mutations: a dropped 0, a bad token,
+    a variable past n, a second header, a '%' end marker, a clause line ahead
+    of the header, or a literal spelled +1, 01 or -0."""
+    n = draw(st.integers(0, 6))
+    literal = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, max_size=4) if n else st.just([]), max_size=5))
+    lines = [["p", "cnf", str(n), str(len(clauses))]] + [[*map(str, c), "0"] for c in clauses]
+
+    def where(lo: int = 0) -> int:
+        return draw(st.integers(lo, len(lines)))
+
+    for mutation in draw(st.lists(st.integers(0, 6), max_size=3)):
+        line = lines[draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))]  # a clause line if any
+        if mutation == 0 and (closed := [tokens for tokens in lines if "0" in tokens]):
+            draw(st.sampled_from(closed)).remove("0")
+        elif mutation == 1:
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(["x", "1.5", "--1", "0x1", "%", "p"])))
+        elif mutation == 2:
+            past = draw(st.sampled_from([1, -1])) * (n + draw(st.integers(1, 3)))
+            line.insert(draw(st.integers(0, len(line))), str(past))
+        elif mutation == 3:
+            lines.insert(where(1), ["p", "cnf", str(n), str(len(clauses))])
+        elif mutation == 4:
+            lines.insert(where(), ["%", *draw(st.sampled_from([[], ["x"], ["0"]]))])
+        elif mutation == 5:
+            lines.insert(where(), ["1", "0"])
+        elif mutation == 6 and line and line[0] != "p":  # respell one token
+            i = draw(st.integers(0, len(line) - 1))
+            k = line[i]
+            if k == "0":
+                line[i] = "-0"
+            elif k.startswith("-"):
+                line[i] = "-0" + k[1:]
+            else:
+                line[i] = draw(st.sampled_from(["+" + k, "0" + k]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(where(), draw(st.sampled_from([["c", "note", "1", "x"], ["c"], []])))
+    pad = st.sampled_from(["", " ", "\t"])
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(draw(pad) + " ".join(tokens) + draw(pad) + ending for tokens in lines)
+
+
+@given(_dimacs_texts())
+def test_parse_matches_the_line_by_line_reference(text):
+    """The one-pass parser and conftest.reference_parse agree on every text:
+    the same clauses, or the same fault at the same line."""
+    expected = reference_parse(text)
+    try:
+        formula = parse_dimacs(text)
+    except DimacsParseError as exc:
+        message, line = expected
+        assert isinstance(message, str), (text, exc)
+        assert (str(exc), exc.line) == (f"line {line}: {message}", line)
+    else:
+        n, clauses = expected
+        assert formula.n == n, (text, expected)
+        assert [frozenset(c.dimacs()) for c in formula.clauses] == [frozenset(c) for c in clauses]
+
+
 def test_roundtrip_examples():
     for text in ["p cnf 2 1\n1 2 0\n", "p cnf 3 3\n-1 2 0\n3 0\n-2 -3 0\n", "p cnf 4 0\n"]:
         f = parse_dimacs(text)
@@ -175,12 +232,6 @@ def test_clause_set_semantics():
     assert Clause([Literal(1), Literal(2, True), Literal(1)]) == c
 
 
-def test_is_minimal():
-    assert is_minimal(lits(1, -2))
-    assert not is_minimal(lits(1, -1))
-    assert is_minimal(Clause())
-
-
 _LITERALS = st.lists(
     st.builds(Literal, st.one_of(st.integers(1, 4), st.integers(60, 200)), st.booleans()), max_size=8
 )
@@ -198,7 +249,7 @@ def test_clause_masks_keep_set_semantics(literals, data):
     assert clause.dimacs() == [-l.var if l.negated else l.var for l in clause.sorted_literals()]
     assert clause.pos == sum(1 << l.var for l in distinct if not l.negated)
     assert clause.neg == sum(1 << l.var for l in distinct if l.negated)
-    assert is_minimal(clause) == (len({l.var for l in distinct}) == len(distinct))
+    assert (not clause.pos & clause.neg) == (len({l.var for l in distinct}) == len(distinct))
 
     shuffled = data.draw(st.permutations(literals))
     repeated = data.draw(st.lists(st.sampled_from(literals), max_size=4)) if literals else []
@@ -235,33 +286,6 @@ def test_roundtrip_past_64_variables(seed):
     assert filter_minimal(f) == tuple(c for c in clauses if len({l.var for l in c}) == len(c))
 
 
-# -- evaluation -----------------------------------------------------------------
-
-
-def test_eval_clause_examples():
-    c = lits(1, -2)
-    assert eval_clause(c, Assignment((0, 1))) == 0
-    assert eval_clause(c, Assignment((0, 0))) == 1
-    assert eval_clause(Clause(), Assignment((1, 1))) == 0
-
-
-def test_eval_formula_examples():
-    assert eval_formula(CnfFormula(2, [lits(1, 2)]), Assignment((1, 0))) == 1
-    f = CnfFormula(1, [lits(1), lits(-1)])
-    assert all(eval_formula(f, a) == 0 for a in all_assignments(1))
-    assert eval_formula(CnfFormula(2), Assignment((0, 0))) == 1
-
-
-@given(st.integers(0, 10_000))
-def test_eval_matches_independent_semantics(seed):
-    rng = random.Random(seed)
-    f = random_test_formula(rng, max_n=5, max_m=6, allow_empty_clause=True)
-    from conftest import brute_eval
-
-    for a in all_assignments(f.n):
-        assert eval_formula(f, a) == int(brute_eval(f, a.bits))
-
-
 # -- tautology elimination ---------------------------------------------------------
 
 
@@ -280,7 +304,7 @@ def test_clause_with_complementary_pair_is_tautological(seed):
     f = random_test_formula(rng, max_n=5, max_m=4)
     v = rng.randint(1, f.n)
     taut = Clause(list(lits(v, -v)) + list(rng.choice(f.clauses).literals if f.clauses else []))
-    assert all(eval_clause(taut, a) == 1 for a in all_assignments(f.n))
+    assert all(brute_eval(CnfFormula(f.n, [taut]), bits) for bits in all_assignments(f.n))
     spiked = CnfFormula(f.n, list(f.clauses) + [taut])
     assert count_satisfying(spiked).r == count_satisfying(f).r
     assert count_satisfying(CnfFormula(f.n, filter_minimal(spiked))).r == count_satisfying(spiked).r
@@ -422,16 +446,10 @@ def test_count_out_of_range_is_an_invariant_error(monkeypatch):
         CountSummary(r=3, total=2, q_squared=Fraction(3, 2))
 
 
-def test_is_sat():
-    assert is_sat(CnfFormula(2, [lits(1, 2)]))
-    assert not is_sat(CnfFormula(1, [lits(1), lits(-1)]))
-    assert is_sat(CnfFormula(3))
-
-
 @given(st.integers(0, 10_000))
 def test_full_count_iff_all_clauses_tautological(seed):
     rng = random.Random(seed)
     f = random_test_formula(rng, max_n=6, max_m=5, allow_empty_clause=True)
     summary = count_satisfying(f)
     assert 0 <= summary.r <= summary.total
-    assert (summary.r == summary.total) == all(not is_minimal(c) for c in f.clauses)
+    assert (summary.r == summary.total) == all(c.pos & c.neg for c in f.clauses)

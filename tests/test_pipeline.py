@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -426,6 +427,79 @@ def test_cli_solve_statevector_with_emit(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["amplifier"]["kind"] == "stochastic"
     assert doc["amplifier"]["verdict"]["satisfiable"] is True and doc["agreement"] is True
+
+
+@pytest.mark.parametrize("name, code, body", [
+    ("05_two_var_or.cnf", 10, "formula    : n=2 m=1 mu=2\n"
+                              "q_squared  : 0.75 (= 3/4)\n"
+                              "amplifier  : chaos -> SAT\n"
+                              "brute force: r=3 -> SAT\n"
+                              "agreement  : True\n"),
+    ("04_contradiction_pair.cnf", 20, "formula    : n=1 m=2 mu=2\n"
+                                      "q_squared  : 0.0 (= 0)\n"
+                                      "amplifier  : chaos -> UNSAT\n"
+                                      "brute force: r=0 -> UNSAT\n"
+                                      "agreement  : True\n"),
+], ids=["sat", "unsat"])
+@pytest.mark.parametrize("emit", [False, True], ids=["stdout", "emit"])
+def test_cli_solve_summary_bytes(tmp_path, capsys, corpus_dir, name, code, body, emit):
+    path = corpus_dir / name
+    argv = ["solve", "--input", str(path), "--exit-verdict"]
+    if emit:
+        argv += ["--emit", str(tmp_path / "trace.csv"), "--format", "csv"]
+        body += f"emitted    : {tmp_path / 'trace.csv'} (csv)\n"
+    assert main(argv) == code
+    assert capsys.readouterr().out == f"input      : {path}\n" + body
+
+
+def _stochastic_csv_argv(corpus_dir: Path) -> list[str]:
+    return ["solve", "--input", str(corpus_dir / "05_two_var_or.cnf"), "--amplifier", "stochastic",
+            "--format", "csv", "--emit"]
+
+
+def test_emit_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, capsys, corpus_dir):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    reused.write_bytes(b"x" * 100_000)
+    assert main(_stochastic_csv_argv(corpus_dir) + [str(fresh)]) == 0
+    assert main(_stochastic_csv_argv(corpus_dir) + [str(reused)]) == 0
+    assert 0 < len(fresh.read_bytes()) < 100_000
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_emit_into_a_pipe_delivers_the_bytes_a_file_gets(tmp_path, capsys, corpus_dir):
+    """--emit /dev/fd/N writes into the pipe behind descriptor N; a thread
+    drains it, so a trace larger than the pipe's buffer cannot block."""
+    file = tmp_path / "trace.csv"
+    assert main(_stochastic_csv_argv(corpus_dir) + [str(file)]) == 0
+    read_end, write_end = os.pipe()
+    chunks: list[bytes] = []
+    reader = threading.Thread(target=lambda: chunks.extend(iter(lambda: os.read(read_end, 1 << 16), b"")))
+    reader.start()
+    try:
+        assert main(_stochastic_csv_argv(corpus_dir) + [f"/dev/fd/{write_end}"]) == 0
+    finally:
+        os.close(write_end)
+        reader.join(timeout=60)
+        os.close(read_end)
+    assert not reader.is_alive()
+    assert b"".join(chunks) == file.read_bytes()
+
+
+def test_crlf_input_reports_as_its_lf_twin(tmp_path, capsys, corpus_dir):
+    """Every corpus file with CRLF line ends gives its LF twin's report and
+    summary, apart from the input path."""
+    crlf, report = tmp_path / "crlf.cnf", tmp_path / "report.json"
+
+    def solve(path: Path) -> tuple[int, str, dict]:
+        code = main(["solve", "--input", str(path), "--exit-verdict", "--emit", str(report)])
+        doc = json.loads(report.read_bytes())
+        del doc["input"], doc["timing"]
+        return code, capsys.readouterr().out.split("\n", 1)[1], doc
+
+    for lf in sorted(corpus_dir.glob("*.cnf")):
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        assert solve(crlf) == solve(lf), lf.name
 
 
 def test_cli_error_codes(tmp_path, capsys):

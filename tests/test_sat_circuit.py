@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import all_assignments, brute_count, brute_eval, dense_q_squared, random_3cnf, random_test_formula
+from conftest import (all_assignments, basis_index, brute_count, brute_eval, dense_q_squared, random_3cnf,
+                      random_test_formula)
 from qsatlab.cnf import (
     _ROW_VARS,
     Clause,
     CnfFormula,
     Literal,
     count_satisfying,
-    eval_formula,
     lits,
     parse_dimacs,
     required_ancillas,
@@ -39,19 +39,18 @@ EDGE_FORMULAS = [
 
 
 def _check_all_basis_inputs(formula: CnfFormula) -> None:
-    """Result qubit must reproduce eval_formula on every basis input, with the
-    inputs themselves restored."""
+    """Result qubit must reproduce the formula's value on every basis input,
+    with the inputs themselves restored."""
     circuit = build_sat_circuit(formula)
     mu = circuit.num_qubits - formula.n
-    for assignment in all_assignments(formula.n):
-        e = assignment.to_index()
+    for bits in all_assignments(formula.n):
+        e = basis_index(bits)
         basis = StateVector.computational_basis(circuit.num_qubits, e << mu)
         out = run(circuit, basis)
         idx = int(np.argmax(np.abs(out.amps)))
         assert abs(out.amps[idx]) == pytest.approx(1.0)
-        assert idx & 1 == eval_formula(formula, assignment)
+        assert idx & 1 == brute_eval(formula, bits)
         assert idx >> mu == e
-        assert eval_formula(formula, assignment) == int(brute_eval(formula, assignment.bits))
 
 
 def test_basis_behaviour_on_edge_formulas():
@@ -76,11 +75,10 @@ def test_uniform_run_branches():
     circuit = build_sat_circuit(formula)
     out = run(circuit, prepare_uniform(formula.n, circuit.num_qubits - formula.n))
     per_branch = np.abs(out.amps.reshape(1 << formula.n, -1)) ** 2
-    for assignment in all_assignments(formula.n):
-        e = assignment.to_index()
-        weight_by_result = per_branch[e].reshape(-1, 2).sum(axis=0)
+    for bits in all_assignments(formula.n):
+        weight_by_result = per_branch[basis_index(bits)].reshape(-1, 2).sum(axis=0)
         assert weight_by_result.sum() == pytest.approx(2.0**-formula.n, abs=1e-12)
-        assert weight_by_result[eval_formula(formula, assignment)] == pytest.approx(
+        assert weight_by_result[int(brute_eval(formula, bits))] == pytest.approx(
             2.0**-formula.n, abs=1e-12
         )
 
