@@ -198,12 +198,12 @@ def parse_dimacs(text: str) -> CnfFormula:
     marker) ends the input. A malformed input reports its first fault in
     file order, with that fault's line.
 
-    The lines after the header are kept without their line numbers and
-    tokenised together; each distinct token is converted once, the range
-    check reads the distinct values, and each literal is ORed straight into
-    its clause's masks. A '%' line or a second header leaves a token that is
-    not an integer, so only a fault or an end marker sends the parser back
-    over the lines (_clause_lines) to find where it sits.
+    The clause lines after the header are kept without their line numbers,
+    joined and cut at an end marker, and tokenised together; each distinct
+    token is converted once, the range check reads the distinct values, and
+    each literal is ORed straight into its clause's masks. A second header
+    leaves a token that is not an integer, so only a fault sends the parser
+    back over the lines (_clause_lines) to find where it sits.
     """
     lines = text.splitlines()
     n = declared_m = None
@@ -230,16 +230,18 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsParseError("empty input: no 'p cnf' header found", max(lineno, 1))
     header_line = lineno
 
-    body = [line for raw in lines[header_line:] if (line := raw.strip()) and line[0] != "c"]
-    tokens = " ".join(body).split()
+    # Each kept line follows a newline, so the first '%' line is the first "\n%".
+    body = "\n" + "\n".join([line for raw in lines[header_line:] if (line := raw.strip()) and line[0] != "c"])
+    end = body.find("\n%")
+    tokens = (body if end < 0 else body[:end]).split()
     try:
         value = {tok: int(tok) for tok in set(tokens)}
     except ValueError:
         value = None
     if value is None or value and (max(value.values()) > n or -min(value.values()) > n):
-        body = [line for _, line in _clause_lines(lines, header_line, n)]  # raises at a fault
-        tokens = " ".join(body).split()
-        value = {tok: int(tok) for tok in set(tokens)}
+        for _ in _clause_lines(lines, header_line, n):  # raises at the fault
+            pass
+        raise InvariantError("parse_dimacs: the faulty token is on no line")
     ints = list(map(value.__getitem__, tokens))
     if 2 * n * len(ints) > _MASK_BUDGET and (bits := 2 * sum(map(abs, ints))) > _MASK_BUDGET:
         raise ValueError(f"clause masks over n={n} variables could take {bits >> 23} MiB, "

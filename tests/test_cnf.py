@@ -76,6 +76,21 @@ def test_parse_stops_at_satlib_end_marker():
     assert f.clauses == (lits(1, -2, 3), lits(-1, 2))
 
 
+def test_parse_rescans_lines_only_for_a_fault(monkeypatch):
+    """A sound input, end marker or not, is parsed without the line-numbered
+    rescan; a fault still gets its line from it."""
+    def rescan(*args):
+        raise AssertionError("rescanned a sound input")
+
+    text = (Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf").read_text()
+    with monkeypatch.context() as m:
+        m.setattr("qsatlab.cnf._clause_lines", rescan)
+        assert parse_dimacs(text).clauses == (lits(1, -2, 3), lits(-1, 2))
+        assert parse_dimacs(text.replace("%\n0\n", "")).clauses == (lits(1, -2, 3), lits(-1, 2))
+    with pytest.raises(DimacsParseError, match="line 5: non-integer token 'x'"):
+        parse_dimacs(text.replace("%\n", "x 0\n%\n"))
+
+
 def test_parse_clause_count_must_match_header():
     with pytest.raises(DimacsParseError, match=r"line 1.*declares 5 clauses, found 1"):
         parse_dimacs("p cnf 2 5\n1 2 0\n")
