@@ -114,6 +114,20 @@ def _circuit_count(formula: CnfFormula) -> tuple[Fraction, int]:
     return Fraction(count_result_ones(circuit, formula.n), 1 << formula.n), circuit.num_qubits - formula.n
 
 
+# Entries of the chaos memo. The traffic needs few: a statevector_wide
+# benchmark seed meets 3 (q^2, n) configurations and an oracle_count_wide run
+# at most 9. One entry holds 2n + 1 <= 49 iterates (1.6 KB as floats) and, once
+# emitted, their CSV text (at most 1.4 KB), so 16 entries hold under 64 KB.
+CHAOS_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=CHAOS_MEMO_SIZE)
+def _chaos_verdict(q_squared: float, n: int) -> chaos.ChaosVerdict:
+    """The chaos verdict of one (q^2, n), decided once per process; chaos.detect
+    is looked up at call time, and a refused q^2 or n raises and stores nothing."""
+    return chaos.detect(q_squared, n)
+
+
 # Entries of the stochastic memo. The traffic needs few: self-check meets 3
 # configurations and a stochastic_trace benchmark run 8. One entry is a
 # 401 x 4 float64 trajectory (12.8 KB) and, once emitted, its CSV text (at
@@ -141,15 +155,15 @@ def _stochastic_verdict(q2_one: bool, q2_zero: bool, e0: int, e1: int,
 def _amplifier_verdict(cfg: PipelineConfig, q_squared: Fraction, n: int):
     """Run the selected amplifier and return its verdict."""
     if cfg.amplifier == "chaos":
-        return chaos.detect(float(q_squared), max(n, 1))
+        return _chaos_verdict(float(q_squared), max(n, 1))
     return _stochastic_verdict(q_squared == 1, q_squared == 0, cfg.e0, cfg.e1,
                                complex(cfg.gamma_re, cfg.gamma_im))
 
 
 def _read(path: str | Path) -> str:
-    """An input file's text, decoded as UTF-8 whatever the locale; its line
-    ends are left to the parsers' splitlines."""
-    with open(path, "rb") as f:
+    """An input file's text, read unbuffered and decoded as UTF-8 whatever the
+    locale; its line ends are left to the parsers' splitlines."""
+    with open(path, "rb", buffering=0) as f:
         return f.read().decode()
 
 

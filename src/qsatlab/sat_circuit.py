@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, _ancillas, filter_minimal, input_columns, live_lanes
+from .cnf import CnfFormula, _ancillas, filter_minimal, input_columns, live_lanes
 from .statevector import Circuit, StateVector
 
 
@@ -45,63 +45,61 @@ def build_sat_circuit(formula: CnfFormula) -> Circuit:
     if not active:
         return Circuit(width, [(result,)])  # constant 1
 
-    # A value is a (qubit, invert) pair: `invert` means the qubit holds its complement.
+    # A value is a (qubit, flip) pair: `flip` means the qubit holds its complement.
     gates: list[tuple[int, ...]] = []
-    next_work = n
-
-    def fresh() -> int:
-        nonlocal next_work
-        q = next_work
-        next_work += 1
-        return q
-
-    def controlled(controls: list[tuple[int, bool]], target: int) -> None:
-        # CNOT or Toffoli on the controls' values: X-wrap each inverted control.
-        wraps = [(q,) for q, invert in controls if invert]
-        gates.extend(wraps)
-        gates.append((*(q for q, _ in controls), target))
-        gates.extend(reversed(wraps))
-
-    def and_pair(a: tuple[int, bool], b: tuple[int, bool], target: int) -> None:
-        # Two unit clauses may read the same input qubit: v AND v copies
-        # through, v AND NOT v is constant 0 (target stays |0>).
-        if a[0] != b[0]:
-            controlled([a, b], target)
-        elif a[1] == b[1]:
-            controlled([a], target)
-
-    def clause_value(clause: Clause) -> tuple[int, bool]:
+    emit = gates.append
+    values = []
+    work = n
+    for clause in active:
         literals = clause.dimacs()
         if len(literals) == 1:
-            return abs(literals[0]) - 1, literals[0] < 0
+            values.append((abs(literals[0]) - 1, literals[0] < 0))
+            continue
         # AND of literal complements: a positive literal's complement needs an
         # X-wrap on its input qubit, a negated literal's complement is the raw bit.
-        complements = [(abs(k) - 1, k > 0) for k in literals]
-        acc = fresh()
-        controlled(complements[:2], acc)
-        for comp in complements[2:]:
-            nxt = fresh()
-            controlled([(acc, False), comp], nxt)
-            acc = nxt
-        gates.append((acc,))  # NOT(AND of complements) = clause OR
-        return acc, False
-
-    values = [clause_value(c) for c in active]
+        a, b = literals[:2]
+        _wrapped(emit, (abs(a) - 1, abs(b) - 1, work), a > 0, b > 0)
+        for k in literals[2:]:
+            _wrapped(emit, (work, abs(k) - 1, work + 1), False, k > 0)
+            work += 1
+        emit((work,))  # NOT(AND of complements) = clause OR
+        values.append((work, False))
+        work += 1
 
     if len(values) == 1:
         running = values[0]
     else:
-        acc = fresh()
-        and_pair(values[0], values[1], acc)
-        for v in values[2:]:
-            nxt = fresh()
-            controlled([(acc, False), v], nxt)
-            acc = nxt
-        running = acc, False
-    assert next_work == result, "ancilla accounting drifted"
+        (a, flip_a), (b, flip_b) = values[:2]
+        # Two unit clauses may read the same input qubit: v AND v copies
+        # through, v AND NOT v is constant 0 (the target stays |0>).
+        if a != b:
+            _wrapped(emit, (a, b, work), flip_a, flip_b)
+        elif flip_a == flip_b:
+            _wrapped(emit, (a, work), flip_a)
+        for q, flip in values[2:]:
+            _wrapped(emit, (work, q, work + 1), False, flip)
+            work += 1
+        running = work, False
+        work += 1
+    assert work == result, "ancilla accounting drifted"
 
-    controlled([running], result)
+    _wrapped(emit, (running[0], result), running[1])
     return Circuit(width, gates)
+
+
+def _wrapped(emit, gate: tuple[int, ...], flip_a: bool, flip_b: bool = False) -> None:
+    """Emit a CNOT or Toffoli gate, X-wrapping its first control when flip_a
+    and its second when flip_b: a control flipped holds the complement of the
+    value the gate reads."""
+    if flip_a:
+        emit(gate[:1])
+    if flip_b:
+        emit(gate[1:2])
+    emit(gate)
+    if flip_b:
+        emit(gate[1:2])
+    if flip_a:
+        emit(gate[:1])
 
 
 def count_result_ones(circuit: Circuit, n: int) -> int:
@@ -118,15 +116,22 @@ def count_result_ones(circuit: Circuit, n: int) -> int:
     last_use = {q: i for i, gate in enumerate(circuit.gates) for q in gate}
     last_use[result] = len(circuit.gates)  # read after the last gate
     for i, gate in enumerate(circuit.gates):
-        *controls, t = gate
-        if not controls:  # X
-            values[t] = ~values[t]
-        else:  # CNOT, TOFFOLI: XOR the controls' AND in
-            operand = values[controls[0]] if len(controls) == 1 else values[controls[0]] & values[controls[1]]
-            values[t] = operand if values[t] is zero else values[t] ^ operand
-        for c in controls:
+        if len(gate) == 1:  # X
+            values[gate[0]] = ~values[gate[0]]
+            continue
+        if len(gate) == 2:  # CNOT
+            c, t = gate
+            operand = values[c]
             if last_use[c] == i:
                 values[c] = None
+        else:  # TOFFOLI
+            c, d, t = gate
+            operand = values[c] & values[d]
+            if last_use[c] == i:
+                values[c] = None
+            if last_use[d] == i:
+                values[d] = None
+        values[t] = operand if values[t] is zero else values[t] ^ operand  # XOR the controls' AND in
     bits = values[result]
     ones = int(np.bitwise_count(bits & live_lanes(n)).sum())
     return ones * (1 << max(n - 6, 0)) // bits.size  # axes of size 1 span both values

@@ -15,6 +15,7 @@ returns a fresh state. Kernels mutate an exclusively-owned scratch buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,24 +32,32 @@ def _check_cap(num_qubits: int) -> None:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable gate sequence on a fixed-width register; each gate is
-    checked once, here."""
+    """An immutable gate sequence on a fixed-width register; the gate list is
+    checked once, here, in a few whole-list passes."""
 
     num_qubits: int
     gates: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(map(tuple, self.gates)))
-        if not {type(q) for gate in self.gates for q in gate} <= {int}:  # no bool, float or numpy integer
-            bad = next(gate for gate in self.gates if any(type(q) is not int for q in gate))
+        gates = tuple(map(tuple, self.gates))
+        object.__setattr__(self, "gates", gates)
+        qubits = [*chain.from_iterable(gates)]
+        ints = set(map(type, qubits)) <= {int}  # no bool, float or numpy integer
+        if (ints and set(map(len, gates)) <= {1, 2, 3} and sum(map(len, map(set, gates))) == len(qubits)
+                and min(qubits, default=0) >= 0 and max(qubits, default=-1) < self.num_qubits):
+            return
+        # A pass failed: rescan to name the first fault in gate order, a type fault first.
+        if not ints:
+            bad = next(gate for gate in gates if any(type(q) is not int for q in gate))
             raise ValueError(f"qubit indices must be ints, got {bad}")
-        for gate in self.gates:
+        for gate in gates:
             if not 1 <= len(gate) <= 3:
                 raise ValueError(f"a gate holds 1 to 3 qubits, got {gate}")
             if len(set(gate)) != len(gate):
                 raise ValueError(f"qubit indices must be distinct, got {gate}")
             if min(gate) < 0 or max(gate) >= self.num_qubits:
                 raise ValueError(f"gate {gate} out of range for {self.num_qubits} qubits")
+        raise InvariantError("the whole-list gate check failed on a gate list without a fault")
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -6,6 +6,8 @@ evaluated with any()/all() directly, so expected values asserted in the tests
 are computed along a route the code under test never touches. dense_q_squared
 is the one circuit-path helper: the dense simulator's reading of q^2, kept as
 the cross-check for the permutation evaluation that statevector mode uses.
+reference_gate_fault names the refusal of a gate list one gate at a time, the
+reading the circuit's whole-list check is held to.
 The 2x2 algebra helpers (PAULI_Z, commutator, anticommutator) serve the tests'
 by-hand checks of the superoperator builders; the package itself needs none.
 """
@@ -109,6 +111,29 @@ def reference_parse(text: str) -> tuple[int, list[list[int]]] | tuple[str, int]:
     if len(clauses) != declared:
         return f"header declares {declared} clauses, found {len(clauses)}", header_line
     return n, clauses
+
+
+def reference_gate_fault(num_qubits: int, gates) -> str | None:
+    """The refusal a gate list must meet, found gate by gate and qubit by
+    qubit: None for a valid list, else the message for the first gate holding
+    a qubit that is not a plain int, or failing that the first gate, in gate
+    order, of the wrong size, with a repeated qubit or with a qubit outside
+    the register."""
+    for gate in gates:
+        for q in gate:
+            if type(q) is not int:
+                return f"qubit indices must be ints, got {tuple(gate)}"
+    for gate in gates:
+        gate = tuple(gate)
+        if len(gate) == 0 or len(gate) > 3:
+            return f"a gate holds 1 to 3 qubits, got {gate}"
+        for i, q in enumerate(gate):
+            if q in gate[i + 1:]:
+                return f"qubit indices must be distinct, got {gate}"
+        for q in gate:
+            if q < 0 or q >= num_qubits:
+                return f"gate {gate} out of range for {num_qubits} qubits"
+    return None
 
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

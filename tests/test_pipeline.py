@@ -280,6 +280,59 @@ def test_self_check_decides_three_stochastic_configurations(memo, corpus_dir):
     assert memo.cache_info().misses == 3 and memo.cache_info().hits == 85
 
 
+# -- chaos memo ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def chaos_memo():
+    """The chaos memo, emptied before the test."""
+    pipeline._chaos_verdict.cache_clear()
+    return pipeline._chaos_verdict
+
+
+def test_one_chaos_configuration_is_decided_once(tmp_path, chaos_memo, monkeypatch):
+    """Two inputs with the same (q^2, n) share one verdict and one CSV text;
+    chaos.detect, looked up at call time, runs on the miss alone."""
+    calls = []
+    real = pipeline.chaos.detect
+    monkeypatch.setattr(pipeline.chaos, "detect", lambda q2, n: calls.append((q2, n)) or real(q2, n))
+    either = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    nand = _write(tmp_path, "nand.cnf", CnfFormula(2, [lits(-1, -2)]))
+    a = run_pipeline(PipelineConfig(input_path=str(either)))
+    b = run_pipeline(PipelineConfig(input_path=str(nand), mode="statevector"))
+    assert (a.reference.r, b.reference.r) == (3, 3)
+    assert a.verdict is b.verdict
+    assert render(a, "csv") is render(b, "csv")  # rendered once, then read off the shared verdict
+    assert calls == [(0.75, 2)]
+    assert chaos_memo.cache_info().misses == 1 and chaos_memo.cache_info().hits == 1
+
+
+def test_chaos_memo_never_exceeds_its_bound(chaos_memo):
+    cfg = PipelineConfig(input_path="unused.cnf")
+    for k in range(pipeline.CHAOS_MEMO_SIZE + 4):
+        pipeline._amplifier_verdict(cfg, Fraction(1, k + 2), 4)
+        assert chaos_memo.cache_info().currsize <= pipeline.CHAOS_MEMO_SIZE
+    assert chaos_memo.cache_info().currsize == pipeline.CHAOS_MEMO_SIZE
+
+
+@pytest.mark.parametrize("q_squared, n, match", [
+    (-0.25, 3, "outside"), (1.5, 3, "outside"), (math.nan, 3, "outside"), (0.5, 0, ">= 1"),
+])
+def test_chaos_memo_keeps_no_refused_configuration(chaos_memo, q_squared, n, match):
+    with pytest.raises(ValueError, match=match):
+        pipeline._chaos_verdict(q_squared, n)
+    assert chaos_memo.cache_info().currsize == 0
+
+
+def test_self_check_meets_the_chaos_memo_and_agrees_everywhere(chaos_memo, corpus_dir):
+    """The second mode of each file hits; 44/44 in every cell."""
+    summary = self_check(corpus_dir)
+    assert summary.matrix == {cell: (44, 44) for cell in
+                              [("chaos", "oracle"), ("chaos", "statevector"),
+                               ("stochastic", "oracle"), ("stochastic", "statevector")]}
+    assert chaos_memo.cache_info().misses == 32 and chaos_memo.cache_info().hits == 56
+
+
 def test_render_rejects_invalid_combinations(tmp_path):
     path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
     report = run_pipeline(PipelineConfig(input_path=str(path)))
@@ -485,6 +538,30 @@ def test_emit_into_a_pipe_delivers_the_bytes_a_file_gets(tmp_path, capsys, corpu
     assert b"".join(chunks) == file.read_bytes()
 
 
+def test_input_through_a_pipe_parses_like_the_file(tmp_path):
+    """--input /dev/fd/N reads the pipe behind descriptor N to its end; the
+    text, larger than the pipe's buffer, is fed from a thread."""
+    formula = CnfFormula(3, [lits(1, -2), lits(2, 3), lits(-3)])
+    path = tmp_path / "padded.cnf"
+    path.write_text("c padding\n" * 20_000 + serialize_dimacs(formula))
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as f:
+            f.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = pipeline._read(f"/dev/fd/{read_end}")
+    finally:
+        writer.join(timeout=60)
+        os.close(read_end)
+    assert not writer.is_alive()
+    got, want = parse_dimacs(piped), parse_dimacs(path.read_text())
+    assert (got.n, got.clauses) == (want.n, want.clauses) == (3, formula.clauses)
+
+
 def test_crlf_input_reports_as_its_lf_twin(tmp_path, capsys, corpus_dir):
     """Every corpus file with CRLF line ends gives its LF twin's report and
     summary, apart from the input path."""
@@ -512,6 +589,7 @@ def test_cli_error_codes(tmp_path, capsys):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "parse error" in err
+    assert f"qsatlab: [Errno 2] No such file or directory: '{tmp_path / 'missing.cnf'}'\n" in err
 
 
 @pytest.mark.parametrize("option, message", [
@@ -580,7 +658,7 @@ def test_cli_solve_takes_every_default_from_pipeline_config(monkeypatch, capsys)
 def test_cli_path_errors(tmp_path, capsys):
     sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
     assert main(["solve", "--input", str(tmp_path)]) == 66
-    assert "Is a directory" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"qsatlab: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert main(["solve", "--input", str(sat), "--emit", str(tmp_path)]) == 64
     assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
     missing_dir = tmp_path / "no" / "such" / "dir" / "rep.json"

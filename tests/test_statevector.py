@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import reference_gate_fault
 from qsatlab.errors import InvariantError, QubitCapError
 from qsatlab.statevector import (
     MAX_QUBITS,
@@ -114,6 +116,45 @@ def test_gate_validation():
     for gate in [(0.5,), (1.0, 2), (True, 2)]:
         with pytest.raises(ValueError, match="must be ints"):
             Circuit(4, [(0,), gate])
+
+
+FAULTS = ("empty", "four", "repeat", "negative", "too_high", "bool", "float", "int64")
+
+
+@st.composite
+def gate_lists_with_faults(draw):
+    """A valid gate list on 1-8 qubits with 0-3 faulty gates inserted."""
+    num_qubits = draw(st.integers(1, 8))
+    gate = st.integers(1, min(3, num_qubits)).flatmap(
+        lambda k: st.permutations(range(num_qubits)).map(lambda p: tuple(p[:k])))
+    gates = draw(st.lists(gate, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        base, fault = draw(gate), draw(st.sampled_from(FAULTS))
+        at = draw(st.integers(0, len(base) - 1))
+        q = base[at]
+        swap = {"negative": -draw(st.integers(1, 3)), "too_high": num_qubits + draw(st.integers(0, 2)),
+                "bool": bool(q % 2), "float": float(q), "int64": np.int64(q)}
+        bad = {"empty": (), "four": tuple(draw(st.lists(st.integers(0, num_qubits - 1), min_size=4, max_size=4))),
+               "repeat": (q, q) if len(base) == 1 else (q, q, base[0])}.get(fault)
+        if bad is None:
+            bad = (*base[:at], swap[fault], *base[at + 1:])
+        gates.insert(draw(st.integers(0, len(gates))), bad)
+    return num_qubits, gates
+
+
+@given(gate_lists_with_faults())
+def test_whole_list_check_names_the_per_gate_fault(case):
+    """The circuit accepts exactly the lists the per-gate reference accepts
+    and otherwise refuses with its message: the first fault in gate order,
+    type faults first."""
+    num_qubits, gates = case
+    want = reference_gate_fault(num_qubits, gates)
+    if want is None:
+        assert Circuit(num_qubits, gates).gates == tuple(gates)
+    else:
+        with pytest.raises(ValueError) as refusal:
+            Circuit(num_qubits, gates)
+        assert str(refusal.value) == want
 
 
 def test_circuit_is_immutable():
