@@ -31,6 +31,7 @@ def build_parser() -> _Parser:
     # allow_abbrev=False: a prefix such as --a is an unknown option, never --amplifier.
     parser = _Parser(prog="qsatlab", description="SAT decision laboratory", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, filled in below
 
     # Options the user leaves out stay out of the namespace, so every solve
     # default comes from PipelineConfig alone.
@@ -85,7 +86,18 @@ def _run_self_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        # The subparsers action hands every string after the command to that
+        # command's parser, so calling it directly skips only the top-level
+        # scan; leftovers are refused as parse_args refuses them.
+        command = parser.commands[argv[0]]
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+    else:
+        args = parser.parse_args(argv)
     try:
         if args.command == "solve":
             return _run_solve(args)

@@ -173,6 +173,13 @@ class CnfFormula:
         return len(self.clauses)
 
 
+def _formula(n: int, clauses: list[Clause]) -> CnfFormula:
+    """CnfFormula(n, clauses) for clauses already range-checked against n."""
+    formula = object.__new__(CnfFormula)
+    formula.__dict__.update(n=n, clauses=tuple(clauses))
+    return formula
+
+
 @dataclass(frozen=True)
 class CountSummary:
     """Result of exhaustive model counting; q_squared is exact."""
@@ -265,7 +272,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise InvariantError("parse_dimacs: the open clause's first token is on no line")
     if len(clauses) != declared_m:
         raise DimacsParseError(f"header declares {declared_m} clauses, found {len(clauses)}", header_line)
-    return CnfFormula(n, clauses)
+    return _formula(n, clauses)
 
 
 def _clause_lines(lines: list[str], header_line: int, n: int) -> Iterator[tuple[int, str]]:
@@ -321,11 +328,10 @@ def required_ancillas(formula: CnfFormula) -> int:
 
 
 def _ancillas(active: tuple[Clause, ...]) -> int:
-    """required_ancillas for the kept clauses themselves: the sum, sum |C| - m
-    + (m - 1) + 1, is their literal count, read off the masks."""
-    if not active or not all(c.pos | c.neg for c in active):
-        return 1
-    return sum(c.pos.bit_count() + c.neg.bit_count() for c in active)
+    """required_ancillas for the kept clauses: sum |C| - m + (m - 1) + 1 is their
+    literal count, and a kept clause never holds v and -v, so |C| = |pos | neg|."""
+    sizes = [(c.pos | c.neg).bit_count() for c in active]
+    return sum(sizes) if sizes and all(sizes) else 1
 
 
 # -- brute-force counting oracle ----------------------------------------------

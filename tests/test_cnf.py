@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from qsatlab.cnf import (
     input_columns,
     lits,
     parse_dimacs,
+    required_ancillas,
     serialize_dimacs,
 )
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
@@ -219,6 +221,22 @@ def test_parse_matches_the_line_by_line_reference(text):
         assert [frozenset(c.dimacs()) for c in formula.clauses] == [frozenset(c) for c in clauses]
 
 
+@given(_dimacs_texts())
+def test_parsed_formula_equals_the_public_build(text):
+    """parse_dimacs builds its formula without CnfFormula's range check, having
+    checked every token itself; the result is the formula the public way builds."""
+    try:
+        formula = parse_dimacs(text)
+    except DimacsParseError:
+        return
+    public = CnfFormula(formula.n, list(formula.clauses))
+    assert vars(formula) == vars(public) and type(formula.clauses) is tuple
+    assert formula == public and hash(formula) == hash(public)
+    assert pickle.loads(pickle.dumps(formula)) == public
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        formula.n = formula.n + 1
+
+
 def test_roundtrip_examples():
     for text in ["p cnf 2 1\n1 2 0\n", "p cnf 3 3\n-1 2 0\n3 0\n-2 -3 0\n", "p cnf 4 0\n"]:
         f = parse_dimacs(text)
@@ -331,6 +349,22 @@ def test_filter_minimal_idempotent(seed):
     f = random_test_formula(rng)
     once = filter_minimal(f)
     assert filter_minimal(CnfFormula(f.n, once)) == once
+
+
+_SIGNED = st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@given(st.lists(st.lists(_SIGNED, max_size=5), max_size=6))
+def test_ancillas_in_one_pass_match_the_two_pass_count(clauses):
+    """Empty clauses, tautologies and the empty formula: mu is 1 unless every
+    kept clause is non-empty, and then the kept clauses' literal count."""
+    formula = CnfFormula(6, [lits(*c) for c in clauses])
+    kept = filter_minimal(formula)
+    if not kept or not all(c.pos | c.neg for c in kept):
+        expected = 1
+    else:
+        expected = sum(c.pos.bit_count() + c.neg.bit_count() for c in kept)
+    assert required_ancillas(formula) == expected
 
 
 # -- counting oracle ---------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,9 +11,11 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import inflating_generator
 import qsatlab
@@ -779,6 +783,66 @@ def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
         cli.build_parser.cache_clear()
     assert len(built) == 1
     assert "invalid choice: 'warp'" in capsys.readouterr().err
+
+
+def _outcome(parse, argv: list[str]):
+    """What parse makes of argv, with all it prints: the namespace's fields,
+    or the SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _dispatched(argv: list[str]):
+    """The namespace main hands to the command it runs."""
+    seen = []
+    with mock.patch.object(cli, "_run_solve", seen.append), mock.patch.object(cli, "_run_self_check", seen.append):
+        cli.main(argv)
+    return seen[0]
+
+
+_ARGV_GRID = [
+    [], ["-h"], ["--help"], ["solve", "-h"], ["self-check", "-h"], ["bogus"], ["sol"], ["solve"],
+    ["solve", "--input"], ["solve", "--input", "x.cnf", "--bogus"], ["solve", "--input", "x.cnf", "extra", "more"],
+    ["solve", "--inp", "x.cnf"], ["self-check", "--corp", "c"], ["solve", "--input", "x.cnf", "--mode", "warp"],
+    ["solve", "--input", "x.cnf", "--gamma-re", "x"], ["solve", "--input", "x.cnf", "--e0", "1.5"],
+    ["solve", "--input=x.cnf"], ["solve", "--input", "x.cnf", "--gamma-im", "-0.5"],
+    ["solve", "--input", "a.cnf", "--input", "b.cnf"], ["--", "solve", "--input", "x.cnf"],
+    ["-x", "solve", "--input", "x.cnf"], ["self-check", "--corpus", "c"], ["solve", "--", "--input", "x.cnf"],
+    ["solve", "--input", "x.cnf", "--mode", "oracle", "--amplifier", "stochastic", "--gamma-re", "1.5",
+     "--gamma-im", "-0.5", "--e0", "0", "--e1", "2", "--emit", "r.csv", "--format", "csv", "--exit-verdict"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_GRID, ids=" ".join)
+def test_cli_dispatch_matches_the_top_level_parse(argv):
+    """main hands a command's arguments straight to that command's parser; it
+    gets the namespace parse_args gets, or exits with the same code and text."""
+    assert _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+_ARGV_WORDS = st.sampled_from([
+    "solve", "self-check", "bogus", "--input", "--mode", "--amplifier", "--gamma-re", "--gamma-im", "--e0",
+    "--e1", "--emit", "--format", "--exit-verdict", "--corpus", "--input=x.cnf", "oracle", "warp", "1.5",
+    "-0.5", "x", "--", "-h", "--a", "--inp",
+])
+# About half the draws lead with a command, so they take the dispatch.
+_ARGVS = st.lists(_ARGV_WORDS, max_size=8) | st.builds(
+    lambda command, rest: [command, *rest], st.sampled_from(["solve", "self-check"]), st.lists(_ARGV_WORDS, max_size=7))
+
+
+@given(_ARGVS)
+def test_cli_dispatch_matches_the_top_level_parse_on_any_argv(argv):
+    assert _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+def test_cli_reads_sys_argv_when_given_none(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qsatlab", "self-check", "--corpus", "c"])
+    assert vars(_dispatched(None)) == {"command": "self-check", "corpus": "c"}
 
 
 def test_every_exported_name_resolves():
