@@ -100,14 +100,9 @@ class Report:
         }
 
 
-def statevector_q_squared(formula: CnfFormula) -> Fraction:
-    """Weight on result = 1 after the formula circuit acts on the uniform
-    superposition; exact, since the circuit permutes basis states."""
-    return _circuit_count(formula)[0]
-
-
 def _circuit_count(formula: CnfFormula) -> tuple[Fraction, int]:
-    """statevector_q_squared and the ancilla count mu of the circuit it built."""
+    """Weight on result = 1 after the formula circuit acts on the uniform superposition,
+    exact since the circuit permutes basis states, and that circuit's ancilla count mu."""
     from .sat_circuit import build_sat_circuit, count_result_ones  # here: oracle solves never load it
 
     circuit = build_sat_circuit(formula)
@@ -306,35 +301,25 @@ def read_expectation(text: str) -> bool | None:
 
 
 def self_check(corpus_dir: str | Path) -> CheckSummary:
-    """Run both amplifiers in both modes over every .cnf in a directory and
-    compare all verdicts against brute force and against any 'c expect'
-    annotation. A missing or unreadable directory raises OSError naming it."""
+    """Solve every .cnf in a directory once per amplifier and mode through run_pipeline and
+    compare the verdicts with brute force and with any 'c expect' annotation, read after the
+    solves. A missing or unreadable directory raises OSError naming it."""
     corpus = sorted(path for path in Path(corpus_dir).iterdir() if path.name.endswith(".cnf"))
     if not corpus:
         raise ValueError(f"no .cnf files found in {corpus_dir}")
     rows = []
     for path in corpus:
-        text = _read(path)
-        formula = parse_dimacs(text)
-        reference = count_satisfying(formula)
-        ref_sat = reference.r >= 1
-        expected = read_expectation(text)
+        reports = [run_pipeline(PipelineConfig(input_path=str(path), mode=mode, amplifier=amp))
+                   for amp in AMPLIFIERS for mode in MODES]
+        r = reports[0].reference.r
+        expected = read_expectation(_read(path))
         issues = []
-        if expected is not None and expected != ref_sat:
-            issues.append(
-                f"expectation says {'SAT' if expected else 'UNSAT'} but brute force "
-                f"counts r={reference.r}"
-            )
-        q2_by_mode = {"oracle": reference.q_squared, "statevector": statevector_q_squared(formula)}
-        verdicts: dict[tuple[str, str], bool] = {}
-        for amp in ("chaos", "stochastic"):
-            for mode, q2 in q2_by_mode.items():
-                cfg = PipelineConfig(input_path=str(path), mode=mode, amplifier=amp)
-                amp_sat = _amplifier_verdict(cfg, q2, formula.n).satisfiable
-                verdicts[(amp, mode)] = amp_sat
-                if amp_sat != ref_sat:
-                    issues.append(f"{amp}/{mode} says {'SAT' if amp_sat else 'UNSAT'}, "
-                                  f"brute force says {'SAT' if ref_sat else 'UNSAT'}")
-        rows.append(CheckRow(name=path.name, n=formula.n, r=reference.r,
-                             verdicts=verdicts, issues=tuple(issues)))
+        if expected is not None and expected != (r >= 1):
+            issues.append(f"expectation says {'SAT' if expected else 'UNSAT'} but brute force counts r={r}")
+        issues += [f"{rep.amplifier}/{rep.mode} says {'SAT' if rep.amplifier_satisfiable else 'UNSAT'}, "
+                   f"brute force says {'SAT' if r else 'UNSAT'}"
+                   for rep in reports if not rep.agreement]
+        rows.append(CheckRow(name=path.name, n=reports[0].n, r=r,
+                             verdicts={(rep.amplifier, rep.mode): rep.amplifier_satisfiable for rep in reports},
+                             issues=tuple(issues)))
     return CheckSummary(rows=tuple(rows))

@@ -26,7 +26,8 @@ from qsatlab.dynamics import (
     unvec,
     vec,
 )
-from qsatlab.pipeline import self_check, statevector_q_squared
+from qsatlab import pipeline
+from qsatlab.pipeline import self_check
 
 GAMMA_GRID = [complex(re, im) for re in (0.1, 1.0, 10.0) for im in (-1.0, 0.0, 1.0)]
 
@@ -48,7 +49,7 @@ def test_criterion_1_probability_identity_on_random_formulas():
         if formula.n + required_ancillas(formula) > 16:
             continue
         exact = float(count_satisfying(formula).q_squared)
-        for q_squared in (dense_q_squared(formula), statevector_q_squared(formula)):
+        for q_squared in (dense_q_squared(formula), pipeline._circuit_count(formula)[0]):
             worst = max(worst, abs(q_squared - exact))
         checked += 1
     elapsed = time.perf_counter() - started
@@ -66,7 +67,7 @@ def test_criterion_2_projection_nonzero_iff_satisfiable(corpus_dir):
     exact_iff = True
     for formula in formulas:
         satisfiable = count_satisfying(formula).r >= 1
-        for projection in (dense_q_squared(formula), statevector_q_squared(formula)):
+        for projection in (dense_q_squared(formula), pipeline._circuit_count(formula)[0]):
             if satisfiable:
                 exact_iff &= projection > 0.0
             else:

@@ -320,6 +320,19 @@ def test_propagate_matches_evolve_across_gamma_grid(branch):
             assert np.max(np.abs(state - evolve(generator, probe, float(t)).matrix)) < 1e-12
             if branch == "damping":
                 assert np.max(np.abs(state - damping_closed_form(gamma, probe, float(t)).matrix)) < 1e-12
+        if branch == "damping":
+            # classify's evidence is the closed form to within 4 ulp: np.exp is
+            # CPU-dispatched, so exact equality is not asserted.
+            t, p1, coh_abs, coh_phase = classify(generator, False, horizon_for(gamma)).trajectory.T
+            assert np.array_equal(t, ts)
+            closed = [damping_closed_form(gamma, PROBE, float(s)) for s in t]
+            eps = np.finfo(float).eps
+            ref_p1 = np.array([rho.p1 for rho in closed])
+            ref_abs = np.array([abs(rho.coherence) for rho in closed])
+            ref_phase = np.array([cmath.phase(rho.coherence) for rho in closed])
+            assert np.all(np.abs(p1 - ref_p1) <= 4 * eps * np.abs(ref_p1)), gamma
+            assert np.all(np.abs(coh_abs - ref_abs) <= 4 * eps * np.abs(ref_abs)), gamma
+            assert np.all(np.abs(coh_phase - ref_phase) <= 4 * eps * math.pi), gamma
 
 
 # -- convergence rates -------------------------------------------------------------------

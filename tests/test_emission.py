@@ -6,6 +6,9 @@ digests, with the report's `timing` key removed and `input` set to the file
 name. Regenerate it only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_emission.py
+
+The self-check text of the corpus is pinned here too, as one digest held in
+this file, since the fixture's keys are the corpus files and modes.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from qsatlab.pipeline import MODES, PipelineConfig, render, run_pipeline
+from qsatlab.pipeline import MODES, PipelineConfig, render, run_pipeline, self_check
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "emission_digests.json"
 CASES = [(path.name, mode) for path in sorted(CORPUS_DIR.glob("*.cnf")) for mode in MODES]
+# sha256 of self_check(CORPUS_DIR).to_text(): 51 lines, 44/44 in every cell.
+SELF_CHECK_SHA256 = "f370f21d91e3fc03d171907a02ba9ed2b366582436f84a478622a235dd1ff9b7"
 
 
 def _sha256(text: str) -> str:
@@ -53,6 +58,10 @@ def test_fixture_covers_the_corpus(pinned):
 @pytest.mark.parametrize("name, mode", CASES)
 def test_chaos_emission_is_pinned(pinned, name, mode):
     assert emission_digests(name, mode) == pinned[f"{name}/{mode}"]
+
+
+def test_self_check_text_is_pinned():
+    assert _sha256(self_check(CORPUS_DIR).to_text()) == SELF_CHECK_SHA256
 
 
 if __name__ == "__main__":

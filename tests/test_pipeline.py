@@ -5,8 +5,10 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import inflating_generator
+from conftest import brute_count, inflating_generator
 import qsatlab
 from qsatlab import adaptive, cli, pipeline
 from qsatlab.chaos import ChaosVerdict
@@ -26,12 +28,13 @@ from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, requir
 from qsatlab.corpus import write_corpus
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
 from qsatlab.pipeline import (
+    AMPLIFIERS,
+    MODES,
     PipelineConfig,
     read_expectation,
     render,
     run_pipeline,
     self_check,
-    statevector_q_squared,
 )
 
 
@@ -48,8 +51,8 @@ def _write(tmp_path: Path, name: str, formula: CnfFormula) -> Path:
 
 
 def test_statevector_q_squared_reads_the_result_qubit():
-    assert statevector_q_squared(CnfFormula(2, [lits(1, 2)])) == pytest.approx(0.75, abs=1e-12)
-    assert statevector_q_squared(CnfFormula(1, [lits(1), lits(-1)])) == 0.0
+    assert pipeline._circuit_count(CnfFormula(2, [lits(1, 2)]))[0] == pytest.approx(0.75, abs=1e-12)
+    assert pipeline._circuit_count(CnfFormula(1, [lits(1), lits(-1)]))[0] == 0.0
 
 
 # -- run_pipeline --------------------------------------------------------------------
@@ -84,7 +87,7 @@ def test_statevector_mode_matches_oracle_mode(corpus_dir):
     paths = sorted(corpus_dir.glob("*.cnf"))
     for path in paths:
         formula = parse_dimacs(path.read_text())
-        assert statevector_q_squared(formula) == count_satisfying(formula).q_squared, path.name
+        assert pipeline._circuit_count(formula)[0] == count_satisfying(formula).q_squared, path.name
     assert len(paths) == 44
 
 
@@ -410,12 +413,63 @@ def test_self_check_matrix_counts_an_amplifier_disagreement(tmp_path, monkeypatc
     assert "  chaos      statevector  1/2" in summary.to_text()
 
 
+def test_self_check_lists_every_disagreeing_cell_after_the_expectation(tmp_path, monkeypatch):
+    (tmp_path / "b.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [lits(1), lits(-1)])))
+    real = pipeline._amplifier_verdict
+    monkeypatch.setattr(pipeline, "_amplifier_verdict",
+                        lambda cfg, q_squared, n: SimpleNamespace(satisfiable=not real(cfg, q_squared, n).satisfiable))
+    (row,) = self_check(tmp_path).rows
+    assert row.issues == ("expectation says SAT but brute force counts r=0",
+                          "chaos/oracle says SAT, brute force says UNSAT",
+                          "chaos/statevector says SAT, brute force says UNSAT",
+                          "stochastic/oracle says SAT, brute force says UNSAT",
+                          "stochastic/statevector says SAT, brute force says UNSAT")
+
+
 def test_self_check_catches_mislabeled_expectation(tmp_path):
     (tmp_path / "lie.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [lits(1), lits(-1)])))
     summary = self_check(tmp_path)
     assert not summary.ok
     assert summary.disagreements >= 1
     assert any("expectation" in issue for row in summary.rows for issue in row.issues)
+
+
+def test_self_check_refuses_a_file_past_the_enumeration_cap(tmp_path, capsys):
+    """self-check solves through run_pipeline, so it refuses with solve's
+    message; the cap is met before a bad 'c expect' is read."""
+    message = "oracle mode enumerates all 2^n inputs but n=25"
+    (tmp_path / "a.cnf").write_text("p cnf 25 1\n1 0\n")
+    with pytest.raises(EnumerationCapError, match=re.escape(message)):
+        self_check(tmp_path)
+    assert main(["self-check", "--corpus", str(tmp_path)]) == 64
+    assert message in capsys.readouterr().err
+    (tmp_path / "a.cnf").write_text("c expect maybe\np cnf 25 1\n1 0\n")
+    assert main(["self-check", "--corpus", str(tmp_path)]) == 64
+    assert message in capsys.readouterr().err
+
+
+@st.composite
+def _small_formulas(draw) -> CnfFormula:
+    """n in 1..6 and up to eight clauses of up to three literals; a clause
+    may be empty, repeat a literal or hold both signs of a variable."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    return CnfFormula(n, [lits(*c) for c in draw(st.lists(st.lists(literal, max_size=3), max_size=8))])
+
+
+@given(_small_formulas())
+def test_self_check_row_matches_brute_force_and_solve(formula):
+    """A one-file corpus gives one row: brute force's count, no issue, and in
+    each cell the verdict solve's --exit-verdict gives."""
+    with tempfile.TemporaryDirectory() as corpus:
+        path = _write(Path(corpus), "f.cnf", formula)
+        (row,) = self_check(corpus).rows
+        assert row.r == brute_count(formula) and row.ok
+        assert row.verdicts.keys() == {(amp, mode) for amp in AMPLIFIERS for mode in MODES}
+        for (amp, mode), sat in row.verdicts.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["solve", "--input", str(path), "--mode", mode, "--amplifier", amp, "--exit-verdict"])
+            assert code == (10 if sat else 20), (amp, mode)
 
 
 def test_self_check_rejects_empty_directory(tmp_path):

@@ -20,7 +20,7 @@ from qsatlab.cnf import (
 )
 from qsatlab.adaptive import adapt, damping_generator
 from qsatlab.errors import EnumerationCapError
-from qsatlab.pipeline import statevector_q_squared
+from qsatlab import pipeline
 from qsatlab.sat_circuit import build_sat_circuit, count_result_ones, success_probability
 from qsatlab.statevector import StateVector, prepare_uniform, run
 
@@ -141,7 +141,7 @@ def test_collapse_to_qubit():
     ]
     damping = damping_generator(1.0)[0].matrix
     for formula, expected in cases:
-        q_squared = statevector_q_squared(formula)
+        q_squared = pipeline._circuit_count(formula)[0]
         assert type(q_squared) is Fraction and q_squared == expected
         generator, trivially_sat = adapt(q_squared, 0, 2, 1.0)
         assert trivially_sat == (q_squared == 1)
