@@ -89,15 +89,6 @@ def adapt(q_squared: Fraction, e0: int, e1: int, gamma: complex) -> tuple[Supero
     return generator, shifted_level == 1
 
 
-def damping_closed_form(gamma: complex, rho0: DensityMatrix2, t: float) -> DensityMatrix2:
-    """Analytic solution of the damping master equation; the populations and
-    the coherence decouple into plain exponentials."""
-    gamma = complex(gamma)
-    p1 = rho0.p1 * math.exp(-2.0 * gamma.real * t)
-    coh = rho0.coherence * cmath.exp((1j * gamma.imag - gamma.real) * t)
-    return DensityMatrix2(np.array([[1.0 - p1, coh], [coh.conjugate(), p1]], dtype=complex))
-
-
 @dataclass(frozen=True)
 class DynVerdict:
     """Classifier outcome plus the sampled evidence: (T, 4) columns t, p1, coh_abs, coh_phase."""

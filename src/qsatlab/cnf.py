@@ -4,7 +4,7 @@ Conventions: a formula over n variables is a conjunction of clauses; a clause is
 set of literals (duplicates collapse) and is satisfied when any literal evaluates
 true; it is held as two variable bit masks, pos and neg, with bit v set when v
 (or -v) occurs. The empty clause is false (empty join), the empty formula true
-(empty meet). Assignments are bit strings (eps_1, ..., eps_n); the statevector
+(empty meet). Assignments are bit strings (eps_1, ..., eps_n); the circuit
 puts eps_1 in the most significant bit of a basis index, but both counters
 enumerate with variable v at bit v - 1 (the masks shifted down by one; no
 count depends on the labelling). Enumeration packs index k into lane

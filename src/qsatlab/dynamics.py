@@ -1,12 +1,11 @@
 """Exact small-dimension substrate for the open-system amplifier.
 
 Superoperators are 4x4 matrices acting on column-stacked 2x2 matrices:
-vec([[a, b], [c, d]]) = (a, c, b, d). All builders below go through vec/unvec
+vec([[a, b], [c, d]]) = (a, c, b, d). All builders below go through vec
 so the stacking convention cannot drift. `propagate` computes a whole
-trajectory and `evolve` is its one-sample case; both check every state against
-the physical set (hermitian, trace one, PSD up to tolerance) and neither
-re-projects. Eigenvalues below -1e-10 are treated as genuine bugs, not noise,
-and raise InvariantError.
+trajectory and checks every state against the physical set (hermitian, trace
+one, PSD up to tolerance); it never re-projects. Eigenvalues below -1e-10 are
+treated as genuine bugs, not noise, and raise InvariantError.
 """
 
 from __future__ import annotations
@@ -21,23 +20,18 @@ from .errors import InvariantError
 Mat2 = np.ndarray  # 2x2 complex
 
 IDENTITY2: Mat2 = np.eye(2, dtype=complex)
-PROJ_GROUND: Mat2 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ_EXCITED: Mat2 = np.array([[0, 0], [0, 1]], dtype=complex)
 LOWERING: Mat2 = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
-_ZERO_EIG = 1e-10
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
+_TP_TOL = 1e-9  # largest |d/dt Tr(rho)| coefficient a trace-preserving generator may have
 _PSD_FLOOR = -1e-10
 
 
 def vec(m: Mat2) -> np.ndarray:
     """Column-stack a 2x2 matrix into a length-4 vector."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> Mat2:
-    return np.asarray(v, dtype=complex).reshape(2, 2, order="F")
 
 
 def left_mult(a: Mat2) -> np.ndarray:
@@ -93,30 +87,9 @@ class DensityMatrix2:
         m.setflags(write=False)
 
     @classmethod
-    def ground(cls) -> "DensityMatrix2":
-        return cls(PROJ_GROUND.copy())
-
-    @classmethod
-    def excited(cls) -> "DensityMatrix2":
-        return cls(PROJ_EXCITED.copy())
-
-    @classmethod
     def plus(cls) -> "DensityMatrix2":
         """The (e0+e1)/sqrt(2) pure state: the default classifier probe."""
         return cls(np.full((2, 2), 0.5, dtype=complex))
-
-    @property
-    def p1(self) -> float:
-        """Excited-level population <e1|rho|e1>."""
-        return float(self.matrix[1, 1].real)
-
-    @property
-    def coherence(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass
@@ -142,19 +115,11 @@ class Superoperator:
             raise ValueError(f"generator {self.label or repr(self.matrix)} is too ill-conditioned to diagonalise")
         return w, v, np.linalg.inv(v)
 
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
+    def is_trace_preserving(self) -> bool:
         # d/dt Tr(rho) = <vec(I), L vec(rho)>; column stacking puts the
         # diagonal at vec positions 0 and 3.
         trace_row = vec(IDENTITY2).conj() @ self.matrix
-        return float(np.max(np.abs(trace_row))) < tol
-
-
-def expm_superop(sup: Superoperator, t: float) -> Superoperator:
-    """exp(t L) = V exp(t w) V^-1 from the generator's eigendecomposition."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    w, v, v_inv = sup._eig
-    return Superoperator((v * np.exp(t * w)) @ v_inv, label=f"exp({t:g}*{sup.label or 'L'})")
+        return float(np.max(np.abs(trace_row))) < _TP_TOL
 
 
 def propagate(sup: Superoperator, rho: DensityMatrix2, ts) -> np.ndarray:
@@ -168,43 +133,9 @@ def propagate(sup: Superoperator, rho: DensityMatrix2, ts) -> np.ndarray:
         raise ValueError("times must be a nonempty 1-d array of finite nonnegative values")
     w, v, v_inv = sup._eig
     rows = (np.exp(np.outer(ts, w)) * (v_inv @ vec(rho.matrix))) @ v.T
-    states = rows.reshape(-1, 2, 2).transpose(0, 2, 1)  # unvec each row
+    states = rows.reshape(-1, 2, 2).transpose(0, 2, 1)  # undo each row's column stacking
     problem = _unphysical(states)
     if problem:
         raise InvariantError(f"propagated state: {problem}")
     return states
 
-
-def evolve(sup: Superoperator, rho: DensityMatrix2, t: float) -> DensityMatrix2:
-    """The state exp(tL) rho: propagate at the single time t."""
-    return DensityMatrix2(propagate(sup, rho, [t])[0])
-
-
-def heisenberg_evolve(sup: Superoperator, observable: Mat2, t: float) -> Mat2:
-    """Propagate an observable under the dual generator; no normalization."""
-    return unvec(expm_superop(sup, t).matrix @ vec(observable))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue summary of a generator: kernel dimension and decay gap."""
-
-    eigenvalues: tuple[complex, ...]
-    zero_modes: int
-    gap: float
-
-
-def spectrum(sup: Superoperator) -> Spectrum:
-    eigs = np.linalg.eigvals(sup.matrix)
-    nonzero = [z for z in eigs if abs(z) >= _ZERO_EIG]
-    gap = min((abs(z.real) for z in nonzero), default=0.0)
-    return Spectrum(
-        eigenvalues=tuple(sorted(map(complex, eigs), key=lambda z: (z.real, z.imag))),
-        zero_modes=len(eigs) - len(nonzero),
-        gap=float(gap),
-    )
-
-
-def trace_distance(a: DensityMatrix2, b: DensityMatrix2) -> float:
-    """Half the sum of singular values of the difference."""
-    return float(0.5 * np.sum(np.linalg.svd(a.matrix - b.matrix, compute_uv=False)))

@@ -15,9 +15,5 @@ class EnumerationCapError(ValueError):
     """Raised when brute-force enumeration would exceed the variable cap."""
 
 
-class QubitCapError(ValueError):
-    """Raised when a statevector would exceed the simulator qubit cap."""
-
-
 class InvariantError(RuntimeError):
     """Raised when an internal invariant breaks: a program fault, not bad input."""

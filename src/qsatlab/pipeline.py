@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import chaos
 from .cnf import (DEFAULT_ENUMERATION_CAP, CnfFormula, CountSummary, count_satisfying, parse_dimacs,
                   required_ancillas)
-from .errors import DimacsParseError, EnumerationCapError
+from .errors import DimacsParseError, EnumerationCapError, InvariantError
 
 if TYPE_CHECKING:  # imported on first use, in _stochastic_verdict
     from . import adaptive
@@ -102,10 +102,14 @@ class Report:
 
 def _circuit_count(formula: CnfFormula) -> tuple[Fraction, int]:
     """Weight on result = 1 after the formula circuit acts on the uniform superposition,
-    exact since the circuit permutes basis states, and that circuit's ancilla count mu."""
+    exact since the circuit permutes basis states, and that circuit's ancilla count mu.
+    A gate list the circuit refuses is a build fault, not bad input: InvariantError."""
     from .sat_circuit import build_sat_circuit, count_result_ones  # here: oracle solves never load it
 
-    circuit = build_sat_circuit(formula)
+    try:
+        circuit = build_sat_circuit(formula)
+    except ValueError as exc:
+        raise InvariantError(f"circuit build: {exc}") from exc
     return Fraction(count_result_ones(circuit, formula.n), 1 << formula.n), circuit.num_qubits - formula.n
 
 

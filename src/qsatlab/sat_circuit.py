@@ -1,5 +1,9 @@
 """Builds the reversible circuit that evaluates a CNF formula into a result qubit.
 
+A Circuit is a frozen gate list on a fixed-width register, out of the
+three-gate set X/CNOT/Toffoli: a gate is the tuple of its qubits, controls
+first and target last, so length 1, 2 or 3 makes it X, CNOT or Toffoli.
+
 Register layout: input qubits 0..n-1, work ancillas next, result qubit last,
 so a circuit's ancilla count mu is its width minus n.
 On every computational basis input |eps, 0...0> the circuit leaves the inputs
@@ -20,15 +24,52 @@ exact satisfying count off the circuit itself, bit-sliced and without a dense
 state: each qubit holds its value under every input in the oracle's packed
 layout (cnf.input_columns), spanning only the input variables it depends on.
 Only the number of inputs is capped (as for the brute-force count), not the
-register width.
+register width. The tests hold the count to a dense simulation of the same
+circuit, which lives with them (tests/reference.py).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import chain
+
 import numpy as np
 
 from .cnf import CnfFormula, _ancillas, filter_minimal, input_columns, live_lanes
-from .statevector import Circuit, StateVector
+from .errors import InvariantError
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """An immutable gate sequence on a fixed-width register; the gate list is
+    checked once, here, in a few whole-list passes."""
+
+    num_qubits: int
+    gates: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        gates = tuple(map(tuple, self.gates))
+        object.__setattr__(self, "gates", gates)
+        qubits = [*chain.from_iterable(gates)]
+        ints = set(map(type, qubits)) <= {int}  # no bool, float or numpy integer
+        if (ints and set(map(len, gates)) <= {1, 2, 3} and sum(map(len, map(set, gates))) == len(qubits)
+                and min(qubits, default=0) >= 0 and max(qubits, default=-1) < self.num_qubits):
+            return
+        # A pass failed: rescan to name the first fault in gate order, a type fault first.
+        if not ints:
+            bad = next(gate for gate in gates if any(type(q) is not int for q in gate))
+            raise ValueError(f"qubit indices must be ints, got {bad}")
+        for gate in gates:
+            if not 1 <= len(gate) <= 3:
+                raise ValueError(f"a gate holds 1 to 3 qubits, got {gate}")
+            if len(set(gate)) != len(gate):
+                raise ValueError(f"qubit indices must be distinct, got {gate}")
+            if min(gate) < 0 or max(gate) >= self.num_qubits:
+                raise ValueError(f"gate {gate} out of range for {self.num_qubits} qubits")
+        raise InvariantError("the whole-list gate check failed on a gate list without a fault")
+
+    def __len__(self) -> int:
+        return len(self.gates)
 
 
 def build_sat_circuit(formula: CnfFormula) -> Circuit:
@@ -136,9 +177,3 @@ def count_result_ones(circuit: Circuit, n: int) -> int:
     ones = int(np.bitwise_count(bits & live_lanes(n)).sum())
     return ones * (1 << max(n - 6, 0)) // bits.size  # axes of size 1 span both values
 
-
-def success_probability(state: StateVector) -> float:
-    """Total weight on basis states whose result qubit (the last, so the least
-    significant bit) reads 1; clipped to 1.0 against summation roundoff (the
-    state norm is 1 within 1e-10)."""
-    return min(float(np.sum(np.abs(state.amps[1::2]) ** 2)), 1.0)

@@ -4,8 +4,9 @@ The oracle here deliberately avoids the package's vectorized enumeration and
 the circuit path: assignments come from itertools.product and clauses are
 evaluated with any()/all() directly, so expected values asserted in the tests
 are computed along a route the code under test never touches. dense_q_squared
-is the one circuit-path helper: the dense simulator's reading of q^2, kept as
-the cross-check for the permutation evaluation that statevector mode uses.
+is the one circuit-path helper: the reading of q^2 off the dense simulator in
+reference.py, kept as the cross-check for the permutation evaluation that
+statevector mode uses.
 reference_gate_fault names the refusal of a gate list one gate at a time, the
 reading the circuit's whole-list check is held to.
 The 2x2 algebra helpers (PAULI_Z, commutator, anticommutator) serve the tests'
@@ -24,8 +25,8 @@ from hypothesis import settings
 
 from qsatlab.cnf import Clause, CnfFormula, Literal
 from qsatlab.dynamics import IDENTITY2, Superoperator, vec
-from qsatlab.sat_circuit import build_sat_circuit, success_probability
-from qsatlab.statevector import prepare_uniform, run
+from qsatlab.sat_circuit import build_sat_circuit
+from reference import prepare_uniform, run, success_probability
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")

@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsatlab.adaptive import (
     FIT_FLOOR,
@@ -14,22 +16,23 @@ from qsatlab.adaptive import (
     THRESHOLD,
     adapt,
     classify,
-    damping_closed_form,
     damping_generator,
     fit_exponential_rate,
     horizon_for,
 )
-from qsatlab.dynamics import (
-    DensityMatrix2,
+from qsatlab.dynamics import DensityMatrix2, left_mult, propagate, right_mult, vec
+from reference import (
     PROJ_GROUND,
+    coherence,
+    damping_closed_form,
     evolve,
-    left_mult,
-    propagate,
-    right_mult,
+    excited_population,
+    excited_state,
+    ground_state,
+    purity,
     spectrum,
     trace_distance,
     unvec,
-    vec,
 )
 
 GAMMA_GRID = [complex(re, im) for re in (0.1, 1.0, 10.0) for im in (-1.0, 0.0, 1.0)]
@@ -136,11 +139,28 @@ def test_generator_spectrum_unique_invariant_state():
             assert s.gap >= min(re, 2 * re) - 1e-9
 
 
+@given(st.floats(0.01, 100.0), st.floats(-100.0, 100.0), st.integers(-10, 10), st.integers(1, 10),
+       st.sampled_from([Fraction(1, 3), Fraction(0), Fraction(1)]))
+def test_classify_damps_where_the_spectrum_has_one_zero_mode_and_a_gap(re, im, e0, spacing, q_squared):
+    """A sampling-free reading of damping against oscillation: classify's
+    damped equals "one zero mode and a gap > 0", and on a damped verdict the
+    fitted rate of p1 equals twice the gap."""
+    gamma = complex(re, im)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "shifted Hamiltonian is degenerate", UserWarning)
+        generator, trivially_sat = adapt(q_squared, e0, e0 + spacing, gamma)
+    verdict = classify(generator, trivially_sat, horizon_for(gamma))
+    s = spectrum(generator)
+    assert verdict.damped == (s.zero_modes == 1 and s.gap > 0)
+    if verdict.damped:
+        assert verdict.fitted_rate == pytest.approx(2 * s.gap, rel=1e-9, abs=0)
+
+
 def test_excited_population_decay_value():
     # d/dt rho_11 = -2 Re(gamma) rho_11 -> e^-2 at t = 1, gamma = 1
     l_star, _ = damping_generator(1.0)
-    rho_t = evolve(l_star, DensityMatrix2.excited(), 1.0)
-    assert rho_t.p1 == pytest.approx(math.exp(-2.0), rel=1e-9)
+    rho_t = evolve(l_star, excited_state(), 1.0)
+    assert excited_population(rho_t) == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
 def test_rates_exposed():
@@ -148,9 +168,9 @@ def test_rates_exposed():
     and rotates the coherence at Im(gamma)."""
     for t in (0.5, 1.0, 3.0):
         rho = damping_closed_form(0.5 + 2.0j, DensityMatrix2.plus(), t)
-        assert rho.p1 == pytest.approx(0.5 * math.exp(-1.0 * t), rel=1e-12)
-        assert abs(rho.coherence) == pytest.approx(0.5 * math.exp(-0.5 * t), rel=1e-12)
-        assert cmath.phase(rho.coherence) == pytest.approx(cmath.phase(cmath.exp(2.0j * t)), abs=1e-12)
+        assert excited_population(rho) == pytest.approx(0.5 * math.exp(-1.0 * t), rel=1e-12)
+        assert abs(coherence(rho)) == pytest.approx(0.5 * math.exp(-0.5 * t), rel=1e-12)
+        assert cmath.phase(coherence(rho)) == pytest.approx(cmath.phase(cmath.exp(2.0j * t)), abs=1e-12)
 
 
 def test_closed_form_matches_generator_path():
@@ -196,7 +216,7 @@ def test_coherent_populations_are_constant():
     probe = DensityMatrix2.plus()
     for t in np.linspace(0.0, 15.0, 12):
         rho = evolve(generator, probe, float(t))
-        assert rho.p1 == pytest.approx(0.5, abs=1e-12)
+        assert excited_population(rho) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_coherent_phase_rotation_and_period():
@@ -204,11 +224,11 @@ def test_coherent_phase_rotation_and_period():
     probe = DensityMatrix2.plus()
     rho = evolve(generator, probe, 0.7)
     # rho_01(t) = e^{i * delta * t} * rho_01(0) for H_eff = diag(1, 2)
-    assert rho.coherence == pytest.approx(0.5 * cmath.exp(1j * 0.7), abs=1e-12)
+    assert coherence(rho) == pytest.approx(0.5 * cmath.exp(1j * 0.7), abs=1e-12)
     for t in (0.0, 1.3, 4.0):
         a = evolve(generator, probe, t)
         b = evolve(generator, probe, t + 2 * math.pi)
-        assert trace_distance(a, b) < 1e-9
+        assert trace_distance(a.matrix, b.matrix) < 1e-9
 
 
 def test_coherent_invariants():
@@ -216,8 +236,8 @@ def test_coherent_invariants():
     probe = DensityMatrix2.plus()
     for t in np.linspace(0.0, 20.0, 17):
         rho = evolve(generator, probe, float(t))
-        assert abs(rho.coherence) == pytest.approx(0.5, abs=1e-9)
-        assert rho.purity == pytest.approx(1.0, abs=1e-10)
+        assert abs(coherence(rho)) == pytest.approx(0.5, abs=1e-9)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-10)
 
 
 # -- classification ---------------------------------------------------------------------
@@ -268,9 +288,9 @@ def test_classifier_rejects_weak_probe():
     """classify samples only PROBE, which carries both population and coherence
     signal (p1 >= 0.25 and |rho01| >= 0.25), so the coherent branch shows its
     precession in the trajectory; the excited state has no coherence to rotate."""
-    excited = DensityMatrix2.excited()
-    assert excited.p1 == 1.0 and excited.coherence == 0
-    assert PROBE.p1 >= 0.25 and abs(PROBE.coherence) >= 0.25
+    excited = excited_state()
+    assert excited_population(excited) == 1.0 and coherence(excited) == 0
+    assert excited_population(PROBE) >= 0.25 and abs(coherence(PROBE)) >= 0.25
     _, p1, coh_abs, coh_phase = classify(*coherent(), horizon_for(1.0)).trajectory.T
     assert np.allclose(p1, 0.5, rtol=0, atol=1e-12) and np.allclose(coh_abs, 0.5, rtol=0, atol=1e-12)
     assert np.ptp(coh_phase) > 1.0
@@ -327,9 +347,9 @@ def test_propagate_matches_evolve_across_gamma_grid(branch):
             assert np.array_equal(t, ts)
             closed = [damping_closed_form(gamma, PROBE, float(s)) for s in t]
             eps = np.finfo(float).eps
-            ref_p1 = np.array([rho.p1 for rho in closed])
-            ref_abs = np.array([abs(rho.coherence) for rho in closed])
-            ref_phase = np.array([cmath.phase(rho.coherence) for rho in closed])
+            ref_p1 = np.array([excited_population(rho) for rho in closed])
+            ref_abs = np.array([abs(coherence(rho)) for rho in closed])
+            ref_phase = np.array([cmath.phase(coherence(rho)) for rho in closed])
             assert np.all(np.abs(p1 - ref_p1) <= 4 * eps * np.abs(ref_p1)), gamma
             assert np.all(np.abs(coh_abs - ref_abs) <= 4 * eps * np.abs(ref_abs)), gamma
             assert np.all(np.abs(coh_phase - ref_phase) <= 4 * eps * math.pi), gamma
@@ -340,14 +360,14 @@ def test_propagate_matches_evolve_across_gamma_grid(branch):
 
 def test_convergence_exponent_depends_on_probe():
     l_star, _ = damping_generator(1.0)
-    ground = DensityMatrix2.ground()
+    ground = ground_state().matrix
 
     ts = np.linspace(1.0, 6.0, 26)
-    pop_probe = [trace_distance(evolve(l_star, DensityMatrix2.excited(), float(t)), ground) for t in ts]
+    pop_probe = [trace_distance(evolve(l_star, excited_state(), float(t)).matrix, ground) for t in ts]
     assert fit_exponential_rate(ts, pop_probe) == pytest.approx(2.0, rel=0.02)
 
     ts = np.linspace(5.0, 10.0, 26)
-    mixed_probe = [trace_distance(evolve(l_star, DensityMatrix2.plus(), float(t)), ground) for t in ts]
+    mixed_probe = [trace_distance(evolve(l_star, DensityMatrix2.plus(), float(t)).matrix, ground) for t in ts]
     assert fit_exponential_rate(ts, mixed_probe) == pytest.approx(1.0, rel=0.02)
 
 

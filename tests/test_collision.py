@@ -12,8 +12,8 @@ The paper's printed variant, with a single D rho D+ recycling term, leaks trace
 and stays a finite distance away from that limit.
 
 One step is a 4x4 matrix in the package's column-stacked vec convention, so N
-steps are one np.linalg.matrix_power; only numpy and the package's vec
-helpers are used to build the model.
+steps are one np.linalg.matrix_power; only numpy and the vec helpers (vec
+from the package, unvec from reference.py) are used to build the model.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from qsatlab.dynamics import (
     PROJ_EXCITED,
     DensityMatrix2,
     Superoperator,
-    evolve,
-    expm_superop,
     left_mult,
     right_mult,
     sandwich,
-    unvec,
     vec,
 )
+from reference import evolve, expm_superop, trace_distance, unvec
 
 GAMMAS = [0.5, 1.0, 1.0 + 0.7j]  # the acceptance grid of criterion 6
 STEPS = [10, 100, 1_000, 10_000]
@@ -69,11 +67,6 @@ def collision_state(gamma: complex, steps: int, rho: DensityMatrix2) -> np.ndarr
     10^4 steps drift the trace by about 1e-12, past DensityMatrix2's check."""
     step = collision_step(gamma, T / steps)
     return unvec(np.linalg.matrix_power(step, steps) @ vec(rho.matrix))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the sum of singular values of the difference of two 2x2 matrices."""
-    return float(0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False)))
 
 
 def printed_generator(gamma: complex) -> Superoperator:

@@ -813,6 +813,22 @@ def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     assert "qsatlab: out of memory: allocation failed" in capsys.readouterr().err
 
 
+def test_a_circuit_build_fault_is_an_internal_error(corpus_dir, capsys, monkeypatch):
+    """A gate list the circuit refuses comes from the compiler, not from the
+    input, so it exits 70 where a usage error would exit 64."""
+    from qsatlab import sat_circuit
+
+    wrapped = sat_circuit._wrapped
+
+    def faulty(emit, gate, flip_a, flip_b=False):
+        wrapped(emit, gate, flip_a, flip_b)
+        emit((99,))
+    monkeypatch.setattr(sat_circuit, "_wrapped", faulty)
+    argv = ["solve", "--input", str(corpus_dir / "05_two_var_or.cnf"), "--mode", "statevector"]
+    assert main(argv) == 70
+    assert capsys.readouterr().err == "qsatlab: internal error: circuit build: gate (99,) out of range for 4 qubits\n"
+
+
 def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
     built = []
 
@@ -922,7 +938,7 @@ CLI_MODULES = ["qsatlab", "qsatlab.chaos", "qsatlab.cli", "qsatlab.cnf", "qsatla
 
 @pytest.mark.parametrize("mode, amplifier, added", [
     ("oracle", "chaos", []),
-    ("statevector", "chaos", ["qsatlab.sat_circuit", "qsatlab.statevector"]),
+    ("statevector", "chaos", ["qsatlab.sat_circuit"]),
     ("oracle", "stochastic", ["qsatlab.adaptive", "qsatlab.dynamics"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, mode, amplifier, added):

