@@ -56,6 +56,11 @@ def damping_generator(gamma: complex) -> tuple[Superoperator, Superoperator]:
     return state, Superoperator(state.matrix.conj().T, label="damping observable generator")
 
 
+#: adapt refuses a level past it: a float64 holds every integer up to 2**53,
+#: so each level shifted by one unit and each splitting (at most 2**52) is exact.
+ENERGY_BOUND = 2**51
+
+
 def adapt(q_squared: Fraction, e0: int, e1: int, gamma: complex) -> tuple[Superoperator, bool]:
     """The generator the summary state switches on, and whether the input is
     trivially SAT. The tests are exact on the rational q^2:
@@ -66,10 +71,15 @@ def adapt(q_squared: Fraction, e0: int, e1: int, gamma: complex) -> tuple[Supero
     - q^2 = 1: the unit goes to E1, and the input is trivially SAT since its
       weight is already maximal.
     Integer energies make the coherent evolution exactly periodic, with
-    period 2*pi over the shifted splitting; any other is refused.
+    period 2*pi over the shifted splitting; any other is refused. So is, on
+    every branch, |E0| or |E1| > 2**51 (ENERGY_BOUND): within it every level,
+    the unit shift and each splitting are exact float64 integers.
     """
     if not 0 <= q_squared <= 1:
         raise ValueError(f"q_squared={q_squared} outside [0, 1]")
+    if abs(e0) > ENERGY_BOUND or abs(e1) > ENERGY_BOUND:
+        raise ValueError(f"energy levels must lie within +-2**51 = {ENERGY_BOUND}, "
+                         "where each level and splitting is an exact float")
     if not e0 < e1:
         raise ValueError(f"need E0 < E1, got E0={e0}, E1={e1}")
     if 0 < q_squared < 1:

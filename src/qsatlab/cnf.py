@@ -3,7 +3,10 @@
 Conventions: a formula over n variables is a conjunction of clauses; a clause is a
 set of literals (duplicates collapse) and is satisfied when any literal evaluates
 true; it is held as two variable bit masks, pos and neg, with bit v set when v
-(or -v) occurs. The empty clause is false (empty join), the empty formula true
+(or -v) occurs. A formula holds its clauses as two mask columns, the pos and
+the neg masks in clause order; parsing, the circuit build and both counters
+read those, and a formula's Clause objects are built only when .clauses is
+read. The empty clause is false (empty join), the empty formula true
 (empty meet). Assignments are bit strings (eps_1, ..., eps_n); the circuit
 puts eps_1 in the most significant bit of a basis index, but both counters
 enumerate with variable v at bit v - 1 (the masks shifted down by one; no
@@ -19,7 +22,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -47,12 +50,12 @@ _LANE_BITS = np.array(
 _ALL_LANES = (1 << 64) - 1  # the all-ones word, as a Python int and as a uint64
 _ALL_WORD = np.uint64(_ALL_LANES)
 _FREE = slice(None)  # an axis no literal pins
-#: For a set s of lane-index bits, _LANES_TRUE[s] is the word holding the
-#: lanes j with some bit b in s set, _LANES_FALSE[s] those with some such bit
-#: clear; bit b of j is variable b + 1.
+#: For a clause mask s, bit v set for variable v, _LANES_TRUE[s & 127] is the
+#: word holding the lanes j where some variable v <= 6 of s is true (bit v - 1
+#: of j set), _LANES_FALSE[s & 127] those where some such variable is false.
 _LANES_TRUE, _LANES_FALSE = (
-    tuple(functools.reduce(int.__or__, (int(_LANE_BITS[b]) ^ flip for b in range(6) if s >> b & 1), 0)
-          for s in range(64))
+    np.array([functools.reduce(int.__or__, (int(_LANE_BITS[b]) ^ flip for b in range(6) if s >> b + 1 & 1), 0)
+              for s in range(128)], dtype=np.uint64)
     for flip in (0, _ALL_LANES)
 )
 #: The first min(_ROW_VARS, n - 6) word variables index one contiguous row of
@@ -123,16 +126,7 @@ class Clause:
 
     def dimacs(self) -> list[int]:
         """The literals as signed DIMACS integers, sorted by variable, v before -v."""
-        pos, neg = self.pos, self.neg
-        both, out = pos | neg, []
-        while both:
-            v = (both & -both).bit_length() - 1
-            if pos >> v & 1:
-                out.append(v)
-            if neg >> v & 1:
-                out.append(-v)
-            both &= both - 1
-        return out
+        return _dimacs(self.pos, self.neg)
 
     def sorted_literals(self) -> list[Literal]:
         """Literals sorted by variable, positive polarity first."""
@@ -141,6 +135,19 @@ class Clause:
 
 #: Clause's slot setters, which write past its refusing __setattr__.
 _set_pos, _set_neg = Clause.pos.__set__, Clause.neg.__set__
+
+
+def _dimacs(pos: int, neg: int) -> list[int]:
+    """Clause.dimacs of the clause holding these masks."""
+    both, out = pos | neg, []
+    while both:
+        v = (both & -both).bit_length() - 1
+        if pos >> v & 1:
+            out.append(v)
+        if neg >> v & 1:
+            out.append(-v)
+        both &= both - 1
+    return out
 
 
 def _clause(pos: int, neg: int) -> Clause:
@@ -153,30 +160,39 @@ def _clause(pos: int, neg: int) -> Clause:
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A conjunction of clauses over variables 1..n."""
+    """A conjunction of clauses over variables 1..n, held as two mask columns:
+    pos[i] and neg[i] are clause i's masks. Equality, hashing and pickling
+    read n and the columns; .clauses is their Clause view, the constructor's
+    clauses or, for a parsed formula, built on first read."""
 
     n: int
-    clauses: tuple[Clause, ...] = field(default_factory=tuple)
+    pos: tuple[int, ...]
+    neg: tuple[int, ...]
 
     def __init__(self, n: int, clauses: Iterable[Clause] = ()):
         clauses = tuple(clauses)
         if n < 0:
             raise ValueError(f"variable count must be >= 0, got {n}")
-        bad = max((c.pos | c.neg for c in clauses), default=0).bit_length() - 1
+        pos, neg = tuple([c.pos for c in clauses]), tuple([c.neg for c in clauses])
+        bad = max(pos + neg, default=0).bit_length() - 1
         if bad > n:
             raise ValueError(f"clause references variable {bad} > n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "clauses", clauses)
+        self.__dict__.update(n=n, pos=pos, neg=neg, clauses=clauses)
+
+    @functools.cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses in order, as Clause objects over the columns' masks."""
+        return tuple(map(_clause, self.pos, self.neg))
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.pos)
 
 
-def _formula(n: int, clauses: list[Clause]) -> CnfFormula:
-    """CnfFormula(n, clauses) for clauses already range-checked against n."""
+def _formula(n: int, pos: list[int], neg: list[int]) -> CnfFormula:
+    """The formula over these mask columns, already range-checked against n."""
     formula = object.__new__(CnfFormula)
-    formula.__dict__.update(n=n, clauses=tuple(clauses))
+    formula.__dict__.update(n=n, pos=tuple(pos), neg=tuple(neg))
     return formula
 
 
@@ -227,7 +243,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
             raise DimacsParseError(f"malformed header {line!r}", lineno)
         try:
-            n, declared_m = int(parts[2]), int(parts[3])
+            n, declared_m = _decimal(parts[2]), _decimal(parts[3])
         except ValueError:
             raise DimacsParseError(f"non-integer counts in header {line!r}", lineno) from None
         if n < 0:
@@ -240,9 +256,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     # Each kept line follows a newline, so the first '%' line is the first "\n%".
     body = "\n" + "\n".join([line for raw in lines[header_line:] if (line := raw.strip()) and line[0] != "c"])
     end = body.find("\n%")
-    tokens = (body if end < 0 else body[:end]).split()
+    body = body if end < 0 else body[:end]
+    tokens = body.split()
+    convert = int if body.isascii() and "_" not in body else _decimal
     try:
-        value = {tok: int(tok) for tok in set(tokens)}
+        value = {tok: convert(tok) for tok in set(tokens)}
     except ValueError:
         value = None
     if value is None or value and (max(value.values()) > n or -min(value.values()) > n):
@@ -253,7 +271,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     if 2 * n * len(ints) > _MASK_BUDGET and (bits := 2 * sum(map(abs, ints))) > _MASK_BUDGET:
         raise ValueError(f"clause masks over n={n} variables could take {bits >> 23} MiB, "
                          f"over the budget of {_MASK_BUDGET >> 23} MiB")
-    clauses: list[Clause] = []
+    pos_column: list[int] = []
+    neg_column: list[int] = []
     pos = neg = 0
     for k in ints:
         if k > 0:
@@ -261,7 +280,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         elif k:
             neg |= 1 << -k
         else:
-            clauses.append(_clause(pos, neg))
+            pos_column.append(pos)
+            neg_column.append(neg)
             pos = neg = 0
     if pos | neg:
         opened = len(ints) - ints[::-1].index(0) if 0 in ints else 0  # the open clause's first token
@@ -270,9 +290,17 @@ def parse_dimacs(text: str) -> CnfFormula:
             if opened < 0:
                 raise DimacsParseError("clause without terminating 0", lineno)
         raise InvariantError("parse_dimacs: the open clause's first token is on no line")
-    if len(clauses) != declared_m:
-        raise DimacsParseError(f"header declares {declared_m} clauses, found {len(clauses)}", header_line)
-    return _formula(n, clauses)
+    if len(pos_column) != declared_m:
+        raise DimacsParseError(f"header declares {declared_m} clauses, found {len(pos_column)}", header_line)
+    return _formula(n, pos_column, neg_column)
+
+
+def _decimal(token: str) -> int:
+    """The value of an ASCII decimal token; int() alone would also take
+    '1_0' and non-ASCII digits."""
+    if token.isascii() and "_" not in token:
+        return int(token)
+    raise ValueError(f"not an ASCII decimal: {token!r}")
 
 
 def _clause_lines(lines: list[str], header_line: int, n: int) -> Iterator[tuple[int, str]]:
@@ -289,7 +317,7 @@ def _clause_lines(lines: list[str], header_line: int, n: int) -> Iterator[tuple[
             raise DimacsParseError("duplicate header", lineno)
         for tok in line.split():
             try:
-                k = int(tok)
+                k = _decimal(tok)
             except ValueError:
                 raise DimacsParseError(f"non-integer token {tok!r}", lineno) from None
             if abs(k) > n:
@@ -300,8 +328,8 @@ def _clause_lines(lines: list[str], header_line: int, n: int) -> Iterator[tuple[
 def serialize_dimacs(formula: CnfFormula) -> str:
     """Emit canonical DIMACS: clauses in stored order, literals sorted by var."""
     lines = [f"p cnf {formula.n} {formula.num_clauses}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(map(str, [*clause.dimacs(), 0])))
+    for pos, neg in zip(formula.pos, formula.neg):
+        lines.append(" ".join(map(str, [*_dimacs(pos, neg), 0])))
     return "\n".join(lines) + "\n"
 
 
@@ -315,7 +343,7 @@ def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
     the conjunction leaves the satisfying set untouched. Idempotent. Built
     from a list, which gives the tuple its size up front.
     """
-    return tuple([c for c in formula.clauses if not c.pos & c.neg])
+    return tuple([_clause(pos, neg) for pos, neg in _kept(formula)])
 
 
 def required_ancillas(formula: CnfFormula) -> int:
@@ -324,13 +352,18 @@ def required_ancillas(formula: CnfFormula) -> int:
     mu = sum over kept clauses of (|C|-1) + (m-1) + 1, degenerating to 1 for
     constant formulas; linear in m*n since kept clauses are minimal.
     """
-    return _ancillas(filter_minimal(formula))
+    return _ancillas(_kept(formula))
 
 
-def _ancillas(active: tuple[Clause, ...]) -> int:
-    """required_ancillas for the kept clauses: sum |C| - m + (m - 1) + 1 is their
+def _kept(formula: CnfFormula) -> list[tuple[int, int]]:
+    """The (pos, neg) masks of the clauses without a complementary pair, in order."""
+    return [(pos, neg) for pos, neg in zip(formula.pos, formula.neg) if not pos & neg]
+
+
+def _ancillas(kept: list[tuple[int, int]]) -> int:
+    """required_ancillas for the kept masks: sum |C| - m + (m - 1) + 1 is their
     literal count, and a kept clause never holds v and -v, so |C| = |pos | neg|."""
-    sizes = [(c.pos | c.neg).bit_count() for c in active]
+    sizes = [(pos | neg).bit_count() for pos, neg in kept]
     return sum(sizes) if sizes and all(sizes) else 1
 
 
@@ -372,9 +405,16 @@ def _count_models(formula: CnfFormula) -> int:
     size-2 axis, the last variable the first axis. A clause is false only where
     all its literals are: its outer literals pin a subcube of rows, and in
     each of those rows it clears the lanes its lane literals falsify, at the
-    words its inner literals falsify. The rows of a batch of clauses are
-    built at once, the rows of clauses pinning the same subcube are ANDed,
-    and that subcube takes one in-place update.
+    words its inner literals falsify.
+
+    The mask columns are read as int64 arrays (n <= 24, so every mask fits),
+    and each clause's lane word, inner care and false-at values and outer key
+    are computed for all clauses at once. With no word variable the count is
+    the AND of the lane words; with no outer axis every row is ANDed into the
+    one row there is. Otherwise the columns are sorted by key, so the clauses
+    pinning the same subcube sit together: the rows of a batch are built at
+    once, each such run of rows is ANDed, and its subcube takes one in-place
+    update.
 
     The rows are filled from the last outer axis up: at level L the first
     2^L rows, sat[0, ..., 0, c], hold for each c over the last L axes the AND
@@ -387,42 +427,38 @@ def _count_models(formula: CnfFormula) -> int:
     words = max(n - 6, 0)
     k = min(_ROW_VARS, words)
     outer = words - k
-    inner = (1 << k) - 1
-    # (level, outer pins, the values they falsify at) -> rows. Outer axis i is bit
-    # outer-1-i of the pins, so the level is their bit length. The live lanes
-    # lead as a row that pins nothing.
-    groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {(0, 0, 0): [(0, 0, live_lanes(n))]}
-    for clause in formula.clauses:
-        pos, neg = clause.pos, clause.neg  # bit v, so bit v - 1 of an index once shifted
-        if pos & neg:  # v and -v: the clause holds everywhere
-            continue
-        pins, ones = (pos | neg) >> 7, neg >> 7  # 1 where a word variable falsifies the clause
-        row = (pins & inner, ones & inner, _LANES_TRUE[pos >> 1 & 63] | _LANES_FALSE[neg >> 1 & 63])
-        pins >>= k
-        group = groups.get(key := (pins.bit_length(), pins, ones >> k))
-        if group is None:
-            groups[key] = [row]
-        else:
-            group.append(row)
+    pos = np.array(formula.pos, dtype=np.int64)  # bit v, so bit v - 1 of an index once shifted
+    neg = np.array(formula.neg, dtype=np.int64)
+    if np.count_nonzero(pos & neg):  # v and -v: the clause holds everywhere
+        kept = pos & neg == 0
+        pos, neg = pos[kept], neg[kept]
+    if outer:  # outer axis i is bit outer-1-i of the pins, so the level is their bit length
+        key = (pos | neg) >> 7 + k << outer | neg >> 7 + k  # the pins, then the values they falsify at
+        order = key.argsort(kind="stable")
+        key, pos, neg = key[order], pos[order], neg[order]
+    lanes = _LANES_TRUE[pos & 127] | _LANES_FALSE[neg & 127]
+    if not words:
+        return (int(np.bitwise_and.reduce(lanes)) & live_lanes(n)).bit_count()
+    # Bit i of an inner value is word variable 7 + i: 1 where it falsifies the clause.
+    care, false_at = (np.array((pos | neg, neg)) >> 7 & (1 << k) - 1).astype(np.uint16)[:, :, None]
     sat = np.empty((2,) * outer + (1 << k,), dtype=np.uint64)
     flat = sat.reshape(-1, 1 << k)
-    filled = -1  # the level flat's leading rows are complete to; -1 until the first is written
+    flat[0] = _ALL_WORD
+    filled = 0  # the level flat's leading rows are complete to
     column = _COLUMN[: 1 << k]
-    for batch in _batches(sorted(groups.items()), max(_ROW_BUDGET >> k, 1)):
-        care, false_at, mask = zip(*[row for _, part in batch for row in part])
-        rows = np.array(mask, dtype=np.uint64)[:, None]
-        if k:  # with no inner variable a clause's row is its lane mask
-            care, false_at = np.array((care, false_at), dtype=np.uint16)[:, :, None]
-            rows = np.where(column & care == false_at, rows, _ALL_WORD)
-        start = 0
-        for (level, pins, ones), part in batch:
-            stop = start + len(part)
+    size = _ROW_BUDGET >> k
+    for lo in range(0, len(lanes), size):
+        batch = slice(lo, lo + size)
+        rows = np.where(column & care[batch] == false_at[batch], lanes[batch, None], _ALL_WORD)
+        if not outer:
+            sat &= np.bitwise_and.reduce(rows, axis=0)
+            continue
+        keys = key[batch]
+        bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+        for start, stop, group in zip(bounds, bounds[1:], keys[bounds[:-1]].tolist()):
             row = rows[start] if stop == start + 1 else np.bitwise_and.reduce(rows[start:stop], axis=0)
-            start = stop
-            if filled < 0:  # the first part of the unpinned group, which holds the live lanes
-                flat[0] = row
-                filled = 0
-                continue
+            pins, ones = group >> outer, group & (1 << outer) - 1
+            level = pins.bit_length()
             for done in range(filled, level):  # copy level done's rows to make level done + 1
                 flat[1 << done : 2 << done] = flat[: 1 << done]
             filled = max(filled, level)
@@ -433,32 +469,19 @@ def _count_models(formula: CnfFormula) -> int:
     return int(np.bitwise_count(sat).sum())
 
 
-def _batches(groups: list, size: int):
-    """The (key, rows) pairs in order, a group split where it holds more than
-    size rows, packed into batches of at most size rows each."""
-    batch, held = [], 0
-    for key, rows in groups:
-        for lo in range(0, len(rows), size):
-            part = rows[lo : lo + size]
-            if held + len(part) > size:
-                yield batch
-                batch, held = [], 0
-            batch.append((key, part))
-            held += len(part)
-    if batch:
-        yield batch
-
-
 def count_satisfying(formula: CnfFormula) -> CountSummary:
     """Count satisfying assignments by full enumeration of all 2^n of them.
 
     This is the reference oracle everything else is checked against: no
     pruning, no heuristics. Every assignment keeps its own bit in one uint64
     array, 64 per word, 2^max(n-6, 0) words (2 MiB at n = 24), laid out as
-    rows of up to 2^_ROW_VARS words. Each clause becomes one row that clears
-    the bits it falsifies; the rows of clauses whose outer literals pin the
-    same rows are ANDed first, and each such subcube takes one contiguous
-    update. The result is an exact integer and q_squared an exact rational.
+    rows of up to 2^_ROW_VARS words. The formula's mask columns are read as
+    arrays and every clause's row, which clears the bits it falsifies, is
+    built in whole-array steps, with no loop over the clauses; the columns are
+    sorted so that the rows of clauses whose outer literals pin the same rows
+    sit together and are ANDed first, and each such subcube takes one
+    contiguous update. The result is an exact integer and q_squared an exact
+    rational.
     Past DEFAULT_ENUMERATION_CAP variables this raises EnumerationCapError
     before allocating anything.
     """

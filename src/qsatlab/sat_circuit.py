@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cnf import CnfFormula, _ancillas, filter_minimal, input_columns, live_lanes
+from .cnf import CnfFormula, _ancillas, _dimacs, _kept, input_columns, live_lanes
 from .errors import InvariantError
 
 
@@ -75,15 +75,15 @@ class Circuit:
 def build_sat_circuit(formula: CnfFormula) -> Circuit:
     """Build the formula-evaluation circuit out of X/CNOT/Toffoli gates only."""
     n = formula.n
-    active = filter_minimal(formula)
-    mu = _ancillas(active)
+    kept = _kept(formula)
+    mu = _ancillas(kept)
     width = n + mu
     result = width - 1
     assert mu <= n * formula.num_clauses + 2, "ancilla budget not linear in m*n"
 
-    if not all(c.pos | c.neg for c in active):
+    if not all(pos | neg for pos, neg in kept):
         return Circuit(width)  # constant 0: result qubit never touched
-    if not active:
+    if not kept:
         return Circuit(width, [(result,)])  # constant 1
 
     # A value is a (qubit, flip) pair: `flip` means the qubit holds its complement.
@@ -91,8 +91,8 @@ def build_sat_circuit(formula: CnfFormula) -> Circuit:
     emit = gates.append
     values = []
     work = n
-    for clause in active:
-        literals = clause.dimacs()
+    for pos, neg in kept:
+        literals = _dimacs(pos, neg)
         if len(literals) == 1:
             values.append((abs(literals[0]) - 1, literals[0] < 0))
             continue

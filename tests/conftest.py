@@ -3,7 +3,9 @@
 The oracle here deliberately avoids the package's vectorized enumeration and
 the circuit path: assignments come from itertools.product and clauses are
 evaluated with any()/all() directly, so expected values asserted in the tests
-are computed along a route the code under test never touches. dense_q_squared
+are computed along a route the code under test never touches. bit_parallel_count
+takes the same oracle past n = 12, with each variable a 2^n-bit Python int
+column and each clause the OR of its literals' columns. dense_q_squared
 is the one circuit-path helper: the reading of q^2 off the dense simulator in
 reference.py, kept as the cross-check for the permutation evaluation that
 statevector mode uses.
@@ -15,6 +17,7 @@ by-hand checks of the superoperator builders; the package itself needs none.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -52,11 +55,50 @@ def brute_count(formula: CnfFormula) -> int:
     )
 
 
+@functools.cache
+def _truth_columns(n: int) -> tuple[int, ...]:
+    """Column v - 1 is variable v's value under every assignment as a 2^n-bit
+    int: bit k is bit v - 1 of k, so the column repeats 2^(v-1) zeros then
+    2^(v-1) ones. Built by doubling a run of periods."""
+    columns = []
+    for v in range(1, n + 1):
+        run = 1 << (v - 1)
+        column, width = ((1 << run) - 1) << run, 2 * run
+        while width < 1 << n:
+            column, width = column | column << width, 2 * width
+        columns.append(column)
+    return tuple(columns)
+
+
+def bit_parallel_count(formula: CnfFormula) -> int:
+    """Satisfying assignments of the formula, every assignment at once: a
+    clause is the OR of its literals' columns (a negated literal the
+    complement) and the formula the AND of its clauses."""
+    every = (1 << (1 << formula.n)) - 1
+    columns = _truth_columns(formula.n)
+    models = every
+    for clause in formula.clauses:
+        holds = 0
+        for lit in clause:
+            column = columns[lit.var - 1]
+            holds |= every ^ column if lit.negated else column
+        models &= holds
+    return models.bit_count()
+
+
 def dense_q_squared(formula: CnfFormula) -> float:
     """q^2 read off the dense simulation of the formula circuit on the
     uniform superposition."""
     circuit = build_sat_circuit(formula)
     return success_probability(run(circuit, prepare_uniform(formula.n, circuit.num_qubits - formula.n)))
+
+
+def ascii_int(token: str) -> int:
+    """A DIMACS number: an optional sign and ASCII digits. int() alone also
+    takes digit-group underscores and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a DIMACS number: {token!r}")
+    return int(token)
 
 
 def reference_parse(text: str) -> tuple[int, list[list[int]]] | tuple[str, int]:
@@ -82,7 +124,7 @@ def reference_parse(text: str) -> tuple[int, list[list[int]]] | tuple[str, int]:
             if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
                 return f"malformed header {line!r}", lineno
             try:
-                n, declared = int(fields[2]), int(fields[3])
+                n, declared = ascii_int(fields[2]), ascii_int(fields[3])
             except ValueError:
                 return f"non-integer counts in header {line!r}", lineno
             if n < 0:
@@ -93,7 +135,7 @@ def reference_parse(text: str) -> tuple[int, list[list[int]]] | tuple[str, int]:
             return f"clause data before 'p cnf' header: {line!r}", lineno
         for token in line.split():
             try:
-                literal = int(token)
+                literal = ascii_int(token)
             except ValueError:
                 return f"non-integer token {token!r}", lineno
             if abs(literal) > n:

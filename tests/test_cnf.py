@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_assignments, brute_count, brute_eval, random_3cnf, random_test_formula, reference_parse
+from conftest import (all_assignments, bit_parallel_count, brute_count, brute_eval, random_3cnf, random_test_formula,
+                      reference_parse)
+from qsatlab import cnf
 from qsatlab.cnf import (
     Clause,
     CnfFormula,
@@ -136,12 +138,25 @@ def test_parse_duplicate_header():
     # '%' ends the input: what follows it is never read
     ("p cnf 2 1\n1 2\n%\n0\n", "line 2: clause without terminating 0"),
     ("p cnf 2 2\n1 2 0\n% x\nx 0\n", "line 1: header declares 2 clauses, found 1"),
+    # int() takes digit-group underscores and non-ASCII digits; DIMACS does not
+    ("p cnf 10 1\n1_0 0\n", "line 2: non-integer token '1_0'"),
+    ("p cnf 3 1\n1 \u0663 0\n", "line 2: non-integer token '\u0663'"),
+    ("p cnf 3 1\n\u0663 0\n4 0\n", "line 2: non-integer token '\u0663'"),
+    ("p cnf 1_0 1\n1 0\n", "line 1: non-integer counts in header 'p cnf 1_0 1'"),
+    ("p cnf 3 \uff11\n1 0\n", "line 1: non-integer counts in header 'p cnf 3 \uff11'"),
 ])
 def test_parse_reports_the_first_fault_in_file_order(text, message):
     with pytest.raises(DimacsParseError) as exc:
         parse_dimacs(text)
     assert str(exc.value) == message
     assert exc.value.line == int(message.split()[1].rstrip(":"))
+
+
+def test_parse_reads_ascii_tokens_among_other_non_ascii_text():
+    """Only a token is held to ASCII: a comment, a separator or the text past
+    an end marker may hold other characters, and +1, 01 and -0 stay numbers."""
+    text = "c \u00e9t\u00e9 \u0663\np cnf 3 2\n+1\u00a0-02 0\n03 -0\n%\n\u0663 1_0\n"
+    assert parse_dimacs(text).clauses == (lits(1, -2), lits(3))
 
 
 def test_parse_ignores_faults_after_the_end_marker():
@@ -164,7 +179,8 @@ def _dimacs_texts(draw) -> str:
     """DIMACS text over at most 6 variables with comments, blank lines and
     LF or CRLF endings, then up to three mutations: a dropped 0, a bad token,
     a variable past n, a second header, a '%' end marker, a clause line ahead
-    of the header, or a literal spelled +1, 01 or -0."""
+    of the header, or a literal spelled +1, 01 or -0. The bad tokens include
+    1_0 and an Arabic-Indic three, which int() reads but DIMACS does not."""
     n = draw(st.integers(0, 6))
     literal = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = draw(st.lists(st.lists(literal, max_size=4) if n else st.just([]), max_size=5))
@@ -178,7 +194,8 @@ def _dimacs_texts(draw) -> str:
         if mutation == 0 and (closed := [tokens for tokens in lines if "0" in tokens]):
             draw(st.sampled_from(closed)).remove("0")
         elif mutation == 1:
-            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(["x", "1.5", "--1", "0x1", "%", "p"])))
+            bad = draw(st.sampled_from(["x", "1.5", "--1", "0x1", "%", "p", "1_0", "\u0663"]))
+            line.insert(draw(st.integers(0, len(line))), bad)
         elif mutation == 2:
             past = draw(st.sampled_from([1, -1])) * (n + draw(st.integers(1, 3)))
             line.insert(draw(st.integers(0, len(line))), str(past))
@@ -224,14 +241,22 @@ def test_parse_matches_the_line_by_line_reference(text):
 @given(_dimacs_texts())
 def test_parsed_formula_equals_the_public_build(text):
     """parse_dimacs builds its formula without CnfFormula's range check, having
-    checked every token itself; the result is the formula the public way builds."""
+    checked every token itself, and without a Clause; the result is the
+    formula the public way builds, whose Clause view it builds on first read."""
     try:
         formula = parse_dimacs(text)
     except DimacsParseError:
         return
-    public = CnfFormula(formula.n, list(formula.clauses))
-    assert vars(formula) == vars(public) and type(formula.clauses) is tuple
+    n, clauses = reference_parse(text)
+    public = CnfFormula(n, [lits(*c) for c in clauses])
+    assert "clauses" not in vars(formula)
     assert formula == public and hash(formula) == hash(public)
+    thawed = pickle.loads(pickle.dumps(formula))
+    assert thawed == public and hash(thawed) == hash(public) and thawed.clauses == public.clauses
+    assert formula.num_clauses == public.num_clauses == len(clauses)
+    assert formula.clauses == public.clauses and type(formula.clauses) is tuple
+    assert formula.clauses is formula.clauses  # built once
+    assert vars(formula) == vars(public)
     assert pickle.loads(pickle.dumps(formula)) == public
     with pytest.raises(dataclasses.FrozenInstanceError):
         formula.n = formula.n + 1
@@ -411,6 +436,31 @@ def _clause_mixes(draw, n: int) -> CnfFormula:
 def test_count_matches_brute_force_across_the_lane_word_boundary(n, data):
     formula = data.draw(_clause_mixes(n))
     assert count_satisfying(formula).r == brute_count(formula)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16, 17, 20])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_count_matches_the_bit_parallel_reference_past_n12(n, data):
+    """Past the lane and inner word variables: n = 15 and up sort the clauses
+    by their pins on the outer axes, whose grouping brute_count cannot reach."""
+    formula = data.draw(_clause_mixes(n))
+    assert count_satisfying(formula).r == bit_parallel_count(formula)
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_count_applies_a_run_of_clauses_split_across_row_batches(n):
+    """240 random 6-clauses over n variables: more clauses than one batch of
+    rows holds, and at n = 15 more of them pin nothing outside a row than
+    one batch holds, so that run is split across two batches."""
+    rng = random.Random(n)
+    formula = CnfFormula(n, [lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 6)))
+                             for _ in range(240)])
+    batch = cnf._ROW_BUDGET >> cnf._ROW_VARS
+    unpinned = sum(1 for c in formula.clauses if (c.pos | c.neg).bit_length() <= 7 + cnf._ROW_VARS)
+    assert len(formula.clauses) > batch and (n == 14 or unpinned > batch)
+    r = count_satisfying(formula).r
+    assert r == bit_parallel_count(formula) and r > 0
 
 
 @pytest.mark.parametrize("n", [1, 5, 6, 7, 12])

@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 
 from conftest import brute_count, inflating_generator
 import qsatlab
-from qsatlab import adaptive, cli, pipeline
+from qsatlab import adaptive, cli, cnf, pipeline
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, required_ancillas, serialize_dimacs
@@ -742,6 +742,53 @@ def test_cli_refuses_infinite_gamma_up_front(tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert "gamma must be finite" in err
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("name", ["04_contradiction_pair", "00_empty_formula", "05_two_var_or"],
+                         ids=["coherent", "trivially-sat", "damping"])
+def test_cli_refuses_energy_levels_past_the_float_bound_on_every_branch(memo, capsys, corpus_dir, name):
+    """|E| > 2**51 is a usage error whichever branch q^2 selects, the damping
+    branch included, whose generator reads no level; nothing is memoised.
+    Levels at the bound still decide."""
+    path = str(corpus_dir / f"{name}.cnf")
+    for e0, e1 in [(0, 10**400), (-(2**51) - 1, 2), (0, 2**51 + 1)]:
+        assert main(["solve", "--input", path, "--amplifier", "stochastic", "--e0", str(e0), "--e1", str(e1)]) == 64
+        assert capsys.readouterr().err.startswith("qsatlab: energy levels must lie within +-2**51 = ")
+    assert memo.cache_info().currsize == 0
+    assert main(["solve", "--input", path, "--amplifier", "stochastic",
+                 "--e0", str(-(2**51)), "--e1", str(2**51)]) == 0
+    assert capsys.readouterr().err == "" and memo.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("header, body, message", [
+    ("p cnf 10 1", "1_0 0", "line 2: non-integer token '1_0'"),
+    ("p cnf 3 1", "\u0663 0", "line 2: non-integer token '\u0663'"),
+    ("p cnf 1_0 1", "1 0", "line 1: non-integer counts in header 'p cnf 1_0 1'"),
+], ids=["underscore", "arabic-indic-digit", "header"])
+def test_cli_refuses_dimacs_numbers_that_are_not_ascii_decimal(tmp_path, capsys, header, body, message):
+    path = tmp_path / "bad.cnf"
+    path.write_bytes(f"{header}\n{body}\n".encode())
+    assert main(["solve", "--input", str(path)]) == 65
+    assert capsys.readouterr().err == f"qsatlab: parse error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_solve_builds_no_clause_object(corpus_dir, monkeypatch, mode):
+    """The pipeline reads a formula's mask columns only: the parsed formula's
+    Clause view is never built, in either mode."""
+    parsed, built = [], []
+
+    def parse(text):
+        parsed.append(parse_dimacs(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(pipeline, "parse_dimacs", parse)
+    monkeypatch.setattr(cnf, "_clause", lambda pos, neg: built.append((pos, neg)))
+    for path in sorted(corpus_dir.glob("*.cnf")):
+        for amplifier in AMPLIFIERS:
+            run_pipeline(PipelineConfig(input_path=str(path), mode=mode, amplifier=amplifier))
+    assert len(parsed) == 2 * len(list(corpus_dir.glob("*.cnf"))) and built == []
+    assert not any("clauses" in vars(formula) for formula in parsed)
 
 
 def test_cli_refuses_a_horizon_past_the_float_range_as_a_rate_fit(tmp_path, capsys):
