@@ -41,19 +41,15 @@ from .dynamics import (
 )
 
 
-def damping_generator(gamma: complex) -> tuple[Superoperator, Superoperator]:
-    """Build the (state-propagating, observable-propagating) generator pair.
-
-    The observable generator is the adjoint of the state generator, so it is
-    taken as the conjugate transpose rather than built term by term.
-    """
+def damping_generator(gamma: complex) -> Superoperator:
+    """The damping master equation's state-propagating generator, the one adapt
+    switches on; its observable-propagating dual is its conjugate transpose."""
     gamma = complex(gamma)
     p1_left, p1_right = left_mult(PROJ_EXCITED), right_mult(PROJ_EXCITED)
     recycle = sandwich(LOWERING, LOWERING.conj().T)  # rho -> D rho D+
     rotation = 1j * gamma.imag * (p1_right - p1_left)  # i Im(g) [rho, P1]
     dissipation = gamma.real * (2.0 * recycle - p1_left - p1_right)
-    state = Superoperator(rotation + dissipation, label="damping state generator")
-    return state, Superoperator(state.matrix.conj().T, label="damping observable generator")
+    return Superoperator(rotation + dissipation, label="damping state generator")
 
 
 #: adapt refuses a level past it: a float64 holds every integer up to 2**53,
@@ -83,7 +79,7 @@ def adapt(q_squared: Fraction, e0: int, e1: int, gamma: complex) -> tuple[Supero
     if not e0 < e1:
         raise ValueError(f"need E0 < E1, got E0={e0}, E1={e1}")
     if 0 < q_squared < 1:
-        return damping_generator(gamma)[0], False
+        return damping_generator(gamma), False
     if e0 != int(e0) or e1 != int(e1):
         raise ValueError(f"non-integer energies (E0={e0}, E1={e1}) give an aperiodic evolution")
     shifted_level = 0 if q_squared == 0 else 1

@@ -1,19 +1,19 @@
 """CNF data model, DIMACS parsing, and the brute-force counting oracle.
 
-Conventions: a formula over n variables is a conjunction of clauses; a clause is a
-set of literals (duplicates collapse) and is satisfied when any literal evaluates
-true; it is held as two variable bit masks, pos and neg, with bit v set when v
-(or -v) occurs. A formula holds its clauses as two mask columns, the pos and
-the neg masks in clause order; parsing, the circuit build and both counters
-read those, and a formula's Clause objects are built only when .clauses is
-read. The empty clause is false (empty join), the empty formula true
-(empty meet). Assignments are bit strings (eps_1, ..., eps_n); the circuit
-puts eps_1 in the most significant bit of a basis index, but both counters
-enumerate with variable v at bit v - 1 (the masks shifted down by one; no
-count depends on the labelling). Enumeration packs index k into lane
-k % 64 of uint64 word k // 64; the counting oracle lays those words out as
-rows of 2^8 contiguous words, indexed by the first word variables, one row
-per value of the later ones.
+Conventions: a formula over n variables is a conjunction of clauses; a clause
+is a set of literals (duplicates collapse) and is satisfied when any literal
+evaluates true; a Clause, a frozen slots dataclass, holds two variable bit
+masks, pos and neg, with bit v set when v (or -v) occurs. A formula holds n and
+two mask columns alone, the pos and the neg masks in clause order; parsing, the
+circuit build and both counters read those, and a formula's Clause objects are
+built only when .clauses is read, however it was made. The empty clause is
+false (empty join), the empty formula true (empty meet). Assignments are bit
+strings (eps_1, ..., eps_n); the circuit puts eps_1 in the most significant bit
+of a basis index, but both counters enumerate with variable v at bit v - 1 (the
+masks shifted down by one; no count depends on the labelling). Enumeration
+packs index k into lane k % 64 of uint64 word k // 64; the counting oracle lays
+those words out as rows of 2^8 contiguous words, indexed by the first word
+variables, one row per value of the later ones.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -83,32 +83,21 @@ class Literal:
             raise ValueError(f"variable index must be >= 1, got {self.var}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Clause:
     """A finite set of literals, held as two variable bit masks: bit v of pos
     is set when v occurs, bit v of neg when -v does (bit 0 is never set). A
     literal set and its masks determine each other, so duplicates collapse
-    and equal clauses hold equal masks. Immutable."""
+    and equal clauses hold equal masks. The dataclass compares, hashes and
+    pickles the masks and refuses assignment and deletion."""
 
-    __slots__ = ("pos", "neg")
+    pos: int
+    neg: int
 
     def __init__(self, literals: Iterable[Literal] = ()):
         literals = set(literals)
-        _set_pos(self, sum(1 << l.var for l in literals if not l.negated))
-        _set_neg(self, sum(1 << l.var for l in literals if l.negated))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Clause is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return _clause, (self.pos, self.neg)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Clause) and self.pos == other.pos and self.neg == other.neg
-
-    def __hash__(self) -> int:
-        return hash((self.pos, self.neg))
+        object.__setattr__(self, "pos", sum(1 << l.var for l in literals if not l.negated))
+        object.__setattr__(self, "neg", sum(1 << l.var for l in literals if l.negated))
 
     def __repr__(self) -> str:
         return f"Clause({self.sorted_literals()!r})"
@@ -133,10 +122,6 @@ class Clause:
         return [Literal(abs(k), negated=k < 0) for k in self.dimacs()]
 
 
-#: Clause's slot setters, which write past its refusing __setattr__.
-_set_pos, _set_neg = Clause.pos.__set__, Clause.neg.__set__
-
-
 def _dimacs(pos: int, neg: int) -> list[int]:
     """Clause.dimacs of the clause holding these masks."""
     both, out = pos | neg, []
@@ -153,17 +138,18 @@ def _dimacs(pos: int, neg: int) -> list[int]:
 def _clause(pos: int, neg: int) -> Clause:
     """The clause holding these masks, built without literals."""
     clause = object.__new__(Clause)
-    _set_pos(clause, pos)
-    _set_neg(clause, neg)
+    object.__setattr__(clause, "pos", pos)
+    object.__setattr__(clause, "neg", neg)
     return clause
 
 
 @dataclass(frozen=True)
 class CnfFormula:
     """A conjunction of clauses over variables 1..n, held as two mask columns:
-    pos[i] and neg[i] are clause i's masks. Equality, hashing and pickling
-    read n and the columns; .clauses is their Clause view, the constructor's
-    clauses or, for a parsed formula, built on first read."""
+    pos[i] and neg[i] are clause i's masks. The formula holds only n and the
+    columns, which equality, hashing and pickling read; the constructor keeps
+    the masks of the clauses it is given, not the clauses, and .clauses is
+    the columns' Clause view, built on first read for every formula."""
 
     n: int
     pos: tuple[int, ...]
@@ -177,11 +163,12 @@ class CnfFormula:
         bad = max(pos + neg, default=0).bit_length() - 1
         if bad > n:
             raise ValueError(f"clause references variable {bad} > n={n}")
-        self.__dict__.update(n=n, pos=pos, neg=neg, clauses=clauses)
+        self.__dict__.update(n=n, pos=pos, neg=neg)
 
     @functools.cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        """The clauses in order, as Clause objects over the columns' masks."""
+        """The clauses in order, as Clause objects over the columns' masks,
+        built on first read, however the formula was made."""
         return tuple(map(_clause, self.pos, self.neg))
 
     @property
@@ -334,16 +321,6 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 
 # -- structural operations ----------------------------------------------------
-
-
-def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
-    """The clauses without a complementary pair, in order.
-
-    A dropped clause is satisfied by every assignment, so leaving it out of
-    the conjunction leaves the satisfying set untouched. Idempotent. Built
-    from a list, which gives the tuple its size up front.
-    """
-    return tuple([_clause(pos, neg) for pos, neg in _kept(formula)])
 
 
 def required_ancillas(formula: CnfFormula) -> int:

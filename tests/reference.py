@@ -4,9 +4,13 @@
   success_probability, q^2 read off a dense state: the second reading of q^2
   the permutation count (sat_circuit.count_result_ones) is held to.
 - The dynamics the classifier's propagate is held to: the matrix exponential,
-  evolve (one sample of propagate), the Heisenberg picture, spectra, the
-  trace distance, the basis states and their readings, and the damping
+  evolve (one sample of propagate), the Heisenberg picture (dual, a state
+  generator's observable-propagating adjoint, and heisenberg_evolve), spectra,
+  the trace distance, the basis states and their readings, and the damping
   master equation's closed form.
+- filter_minimal, a formula's clauses without a complementary pair, read off
+  its .clauses view: the clauses whose masks the circuit build and the
+  ancilla count keep.
 
 Basis convention: for a register of N qubits, basis index k encodes qubit
 values with qubit 0 as the most significant bit, so |q0 q1 ... q_{N-1}> sits at
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qsatlab.cnf import Clause, CnfFormula
 from qsatlab.dynamics import PROJ_EXCITED, DensityMatrix2, Mat2, Superoperator, propagate, vec
 from qsatlab.errors import InvariantError
 from qsatlab.sat_circuit import Circuit
@@ -168,6 +173,12 @@ def evolve(sup: Superoperator, rho: DensityMatrix2, t: float) -> DensityMatrix2:
     return DensityMatrix2(propagate(sup, rho, [t])[0])
 
 
+def dual(sup: Superoperator) -> Superoperator:
+    """The observable-propagating generator of a state generator: its adjoint,
+    the conjugate transpose, rather than one built term by term."""
+    return Superoperator(sup.matrix.conj().T)
+
+
 def heisenberg_evolve(sup: Superoperator, observable: Mat2, t: float) -> Mat2:
     """Propagate an observable under the dual generator; no normalization."""
     return unvec(expm_superop(sup, t).matrix @ vec(observable))
@@ -205,3 +216,15 @@ def damping_closed_form(gamma: complex, rho0: DensityMatrix2, t: float) -> Densi
     p1 = excited_population(rho0) * math.exp(-2.0 * gamma.real * t)
     coh = coherence(rho0) * cmath.exp((1j * gamma.imag - gamma.real) * t)
     return DensityMatrix2(np.array([[1.0 - p1, coh], [coh.conjugate(), p1]], dtype=complex))
+
+
+# -- CNF -------------------------------------------------------------------------
+
+
+def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
+    """The clauses without a complementary pair, in order.
+
+    A dropped clause is satisfied by every assignment, so leaving it out of
+    the conjunction leaves the satisfying set untouched. Idempotent.
+    """
+    return tuple(c for c in formula.clauses if not c.pos & c.neg)

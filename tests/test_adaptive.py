@@ -83,7 +83,7 @@ def test_susceptibility_needs_positive_real_part():
 def test_adapt_generic_superposition_gives_damping():
     generator, trivially_sat = damping(Fraction(1, 256))
     assert not trivially_sat
-    assert np.array_equal(generator.matrix, damping_generator(1.0)[0].matrix)
+    assert np.array_equal(generator.matrix, damping_generator(1.0).matrix)
     assert np.allclose(np.sort(np.linalg.eigvals(generator.matrix).real), [-2.0, -1.0, -1.0, 0.0])
 
 
@@ -100,7 +100,7 @@ def test_adapt_excited_input_is_trivially_sat():
 
 
 def test_adapt_branches_on_exact_zero_amplitudes():
-    damped = damping_generator(1.0)[0].matrix
+    damped = damping_generator(1.0).matrix
     for q_squared in (Fraction(1, 10**26), Fraction(1, 2**24), Fraction(2**24 - 1, 2**24)):
         generator, trivially_sat = damping(q_squared)
         assert np.array_equal(generator.matrix, damped) and not trivially_sat
@@ -124,7 +124,7 @@ def test_damping_branch_ignores_amplitude_values():
 
 def test_ground_state_is_exactly_invariant():
     for gamma in (0.1, 1.0, 10.0, 1.0 + 1.0j, 0.1 - 1.0j):
-        l_star, _ = damping_generator(gamma)
+        l_star = damping_generator(gamma)
         image = unvec(l_star.matrix @ vec(PROJ_GROUND))
         assert np.max(np.abs(image)) < 1e-14
         assert l_star.is_trace_preserving()
@@ -133,7 +133,7 @@ def test_ground_state_is_exactly_invariant():
 def test_generator_spectrum_unique_invariant_state():
     for re in (0.1, 1.0, 10.0):
         for im in (-1.0, 0.0, 1.0):
-            l_star, _ = damping_generator(complex(re, im))
+            l_star = damping_generator(complex(re, im))
             s = spectrum(l_star)
             assert s.zero_modes == 1
             assert s.gap >= min(re, 2 * re) - 1e-9
@@ -158,7 +158,7 @@ def test_classify_damps_where_the_spectrum_has_one_zero_mode_and_a_gap(re, im, e
 
 def test_excited_population_decay_value():
     # d/dt rho_11 = -2 Re(gamma) rho_11 -> e^-2 at t = 1, gamma = 1
-    l_star, _ = damping_generator(1.0)
+    l_star = damping_generator(1.0)
     rho_t = evolve(l_star, excited_state(), 1.0)
     assert excited_population(rho_t) == pytest.approx(math.exp(-2.0), rel=1e-9)
 
@@ -176,7 +176,7 @@ def test_rates_exposed():
 def test_closed_form_matches_generator_path():
     rng = random.Random(2)
     g = 0.7 + 0.4j
-    l_star, _ = damping_generator(g)
+    l_star = damping_generator(g)
     for _ in range(5):
         p = rng.uniform(0, 1)
         c = 0.9 * math.sqrt(p * (1 - p))  # keeps the matrix PSD
@@ -208,7 +208,7 @@ def test_effective_hamiltonian_strictness():
     with pytest.raises(ValueError, match="non-integer"):
         adapt(Fraction(1), 0.25, 2.0, 1.0)
     generator, _ = adapt(Fraction(1, 2), 0.25, 2.0, 1.0)  # the damping branch reads no energy
-    assert np.array_equal(generator.matrix, damping_generator(1.0)[0].matrix)
+    assert np.array_equal(generator.matrix, damping_generator(1.0).matrix)
 
 
 def test_coherent_populations_are_constant():
@@ -359,7 +359,7 @@ def test_propagate_matches_evolve_across_gamma_grid(branch):
 
 
 def test_convergence_exponent_depends_on_probe():
-    l_star, _ = damping_generator(1.0)
+    l_star = damping_generator(1.0)
     ground = ground_state().matrix
 
     ts = np.linspace(1.0, 6.0, 26)

@@ -19,7 +19,6 @@ from qsatlab.cnf import (
     CountSummary,
     Literal,
     count_satisfying,
-    filter_minimal,
     input_columns,
     lits,
     parse_dimacs,
@@ -27,6 +26,7 @@ from qsatlab.cnf import (
     serialize_dimacs,
 )
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
+from reference import filter_minimal
 
 
 # -- parsing ------------------------------------------------------------------
@@ -249,6 +249,7 @@ def test_parsed_formula_equals_the_public_build(text):
         return
     n, clauses = reference_parse(text)
     public = CnfFormula(n, [lits(*c) for c in clauses])
+    assert set(vars(public)) == {"n", "pos", "neg"}  # the clauses given are not kept
     assert "clauses" not in vars(formula)
     assert formula == public and hash(formula) == hash(public)
     thawed = pickle.loads(pickle.dumps(formula))
@@ -324,8 +325,13 @@ def test_clause_is_immutable_and_pickles():
         clause.pos = 0
     with pytest.raises(AttributeError):
         del clause.neg
+    assert not hasattr(clause, "__dict__")  # slots only
     assert pickle.loads(pickle.dumps(clause)) == clause
+    assert copy.copy(clause) == clause
     assert copy.deepcopy(clause) == clause
+    # The bytes pickle.dumps(lits(1, -70)) wrote while Clause reduced to cnf._clause(pos, neg).
+    assert pickle.loads(b"\x80\x04\x95,\x00\x00\x00\x00\x00\x00\x00\x8c\x0bqsatlab.cnf\x94\x8c\x07_clause"
+                        b"\x94\x93\x94K\x02\x8a\t\x00\x00\x00\x00\x00\x00\x00\x00@\x86\x94R\x94.") == clause
     assert repr(clause) == "Clause([Literal(var=1, negated=False), Literal(var=70, negated=True)])"
 
 

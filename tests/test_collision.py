@@ -86,7 +86,7 @@ def test_collision_step_is_trace_preserving():
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_collision_model_converges_to_damping_generator_at_first_order(gamma):
-    l_star, _ = damping_generator(gamma)
+    l_star = damping_generator(gamma)
     probe = DensityMatrix2.plus()
     limit = evolve(l_star, probe, T).matrix
     distances = [trace_distance(collision_state(gamma, n, probe), limit) for n in STEPS]

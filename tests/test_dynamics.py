@@ -20,6 +20,7 @@ from qsatlab.errors import InvariantError
 from reference import (
     PROJ_GROUND,
     damping_closed_form,
+    dual,
     evolve,
     excited_state,
     expm_superop,
@@ -128,7 +129,7 @@ def test_expm_rejects_negative_time():
 def test_evolve_identity_cases():
     rng = random.Random(21)
     rho = random_density(rng)
-    l_star, _ = damping_generator(1.0)
+    l_star = damping_generator(1.0)
     assert np.allclose(evolve(l_star, rho, 0.0).matrix, rho.matrix, atol=1e-12)
     zero = Superoperator(np.zeros((4, 4)), label="zero")
     assert np.allclose(evolve(zero, rho, 7.5).matrix, rho.matrix, atol=1e-12)
@@ -143,7 +144,7 @@ def test_evolve_requires_trace_preserving_generator():
 
 
 def test_propagate_rejects_bad_times():
-    l_star, _ = damping_generator(1.0)
+    l_star = damping_generator(1.0)
     for ts in ([], [0.0, -1.0], [[0.0, 1.0]], [float("nan")], [float("inf")]):
         with pytest.raises(ValueError, match="times"):
             propagate(l_star, DensityMatrix2.plus(), ts)
@@ -174,7 +175,7 @@ def test_closed_form_eigenvalue_floor_matches_eigvalsh(scale):
 
 
 def test_ground_state_is_invariant_under_damping():
-    l_star, _ = damping_generator(1.0 + 0.5j)
+    l_star = damping_generator(1.0 + 0.5j)
     rho = ground_state()
     for t in (0.1, 1.0, 10.0, 50.0):
         assert np.allclose(evolve(l_star, rho, t).matrix, rho.matrix, atol=1e-12)
@@ -183,7 +184,7 @@ def test_ground_state_is_invariant_under_damping():
 def test_evolve_matches_closed_form():
     rng = random.Random(5)
     for gamma in (0.25, 1.0, 2.0 + 1.5j):
-        l_star, _ = damping_generator(gamma)
+        l_star = damping_generator(gamma)
         for _ in range(5):
             rho = random_density(rng)
             for t in (0.0, 0.3, 1.7, 6.0):
@@ -193,7 +194,7 @@ def test_evolve_matches_closed_form():
 
 
 def test_trajectories_stay_physical():
-    l_star, _ = damping_generator(0.8 + 0.3j)
+    l_star = damping_generator(0.8 + 0.3j)
     rho = DensityMatrix2.plus()
     for t in np.linspace(0.0, 50.0, 26):
         out = evolve(l_star, rho, float(t))
@@ -214,7 +215,7 @@ def test_spectrum_of_zero_generator():
 
 def test_damping_spectrum_matches_analytic_rates():
     for im in (-1.0, 0.0, 1.0):
-        l_star, _ = damping_generator(1.0 + 1j * im)
+        l_star = damping_generator(1.0 + 1j * im)
         s = spectrum(l_star)
         assert s.zero_modes == 1
         expected = sorted([0.0 + 0j, -2.0 + 0j, -1.0 + 1j * im, -1.0 - 1j * im],
@@ -224,7 +225,7 @@ def test_damping_spectrum_matches_analytic_rates():
 
 def test_damping_gap_positive_across_sweep():
     for re in (0.1, 0.5, 1.0, 4.0, 10.0):
-        l_star, _ = damping_generator(re)
+        l_star = damping_generator(re)
         s = spectrum(l_star)
         assert s.zero_modes == 1
         assert s.gap == pytest.approx(re, rel=1e-12)
@@ -254,7 +255,8 @@ def test_trace_distance_symmetry_and_triangle():
 
 def test_schrodinger_heisenberg_duality():
     rng = random.Random(99)
-    l_star, l_heis = damping_generator(1.0 + 0.5j)
+    l_star = damping_generator(1.0 + 0.5j)
+    l_heis = dual(l_star)
     for _ in range(100):
         rho = random_density(rng)
         x = random_hermitian(rng)
@@ -265,7 +267,7 @@ def test_schrodinger_heisenberg_duality():
 
 
 def test_heisenberg_population_observable_decays():
-    _, l_heis = damping_generator(1.0)
+    l_heis = dual(damping_generator(1.0))
     obs = heisenberg_evolve(l_heis, PROJ_EXCITED, 1.0)
     assert obs[1, 1].real == pytest.approx(np.exp(-2.0), rel=1e-9)
 

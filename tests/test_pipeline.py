@@ -274,7 +274,7 @@ def test_memo_never_exceeds_its_bound(memo):
 
 def test_memo_keeps_no_invariant_error(memo, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(adaptive, "damping_generator", lambda g: (inflating_generator(), inflating_generator()))
+        patch.setattr(adaptive, "damping_generator", lambda g: inflating_generator())
         with pytest.raises(InvariantError):
             _stochastic(Fraction(1, 2))
     assert memo.cache_info().currsize == 0
@@ -844,7 +844,7 @@ def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
     argv = ["solve", "--input", str(sat), "--amplifier", "stochastic"]
     pipeline._stochastic_verdict.cache_clear()  # a memoised verdict would never reach the patch
     with monkeypatch.context() as patch:
-        patch.setattr(adaptive, "damping_generator", lambda g: (inflating_generator(), inflating_generator()))
+        patch.setattr(adaptive, "damping_generator", lambda g: inflating_generator())
         assert main(argv) == 70
     assert "internal error: propagated state: matrix has eigenvalue" in capsys.readouterr().err
 

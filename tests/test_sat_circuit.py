@@ -208,7 +208,7 @@ def test_collapse_to_qubit():
         (CnfFormula(8, [lits(v) for v in range(1, 9)]), Fraction(1, 256)),
         (CnfFormula(2), Fraction(1)),
     ]
-    damping = damping_generator(1.0)[0].matrix
+    damping = damping_generator(1.0).matrix
     for formula, expected in cases:
         q_squared = pipeline._circuit_count(formula)[0]
         assert type(q_squared) is Fraction and q_squared == expected
