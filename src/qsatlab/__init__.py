@@ -1,11 +1,12 @@
 """qsatlab: a SAT decision laboratory.
 
-Pipeline: a CNF instance is compiled into a reversible evaluation circuit
-whose result qubit carries the formula value over a uniform superposition of
-assignments; the readout weight q^2 = r/2^n is then pushed through one of two
-amplifiers (logistic-map threshold crossing, or a state-adaptive open-system
-probe classified by damping vs oscillation) and cross-checked against the
-brute-force counting oracle.
+Pipeline: a CNF instance (n and its clauses as signed DIMACS integers) is
+compiled into a reversible evaluation circuit whose result qubit carries the
+formula value over a uniform superposition of assignments; the readout weight
+q^2 = r/2^n is then pushed through one of two amplifiers (logistic-map
+threshold crossing, or a state-adaptive open-system probe classified by
+damping vs oscillation) and cross-checked against the brute-force counting
+oracle.
 
 Public names load their module on first access (PEP 562), so a command
 imports only the modules it runs. The package holds only what a command runs;
@@ -23,8 +24,7 @@ _MODULE_OF = {
     for module, names in {
         "adaptive": ("DynVerdict", "adapt", "classify", "damping_generator"),
         "chaos": ("ChaosVerdict", "detect", "iterate"),
-        "cnf": ("Clause", "CnfFormula", "CountSummary", "Literal", "count_satisfying", "parse_dimacs",
-                "serialize_dimacs"),
+        "cnf": ("CnfFormula", "CountSummary", "count_satisfying", "parse_dimacs", "serialize_dimacs"),
         "dynamics": ("DensityMatrix2", "Superoperator"),
         "pipeline": ("PipelineConfig", "Report", "run_pipeline", "self_check"),
         "sat_circuit": ("Circuit", "build_sat_circuit"),

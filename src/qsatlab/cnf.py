@@ -2,18 +2,19 @@
 
 Conventions: a formula over n variables is a conjunction of clauses; a clause
 is a set of literals (duplicates collapse) and is satisfied when any literal
-evaluates true; a Clause, a frozen slots dataclass, holds two variable bit
-masks, pos and neg, with bit v set when v (or -v) occurs. A formula holds n and
-two mask columns alone, the pos and the neg masks in clause order; parsing, the
-circuit build and both counters read those, and a formula's Clause objects are
-built only when .clauses is read, however it was made. The empty clause is
-false (empty join), the empty formula true (empty meet). Assignments are bit
-strings (eps_1, ..., eps_n); the circuit puts eps_1 in the most significant bit
-of a basis index, but both counters enumerate with variable v at bit v - 1 (the
-masks shifted down by one; no count depends on the labelling). Enumeration
-packs index k into lane k % 64 of uint64 word k // 64; the counting oracle lays
-those words out as rows of 2^8 contiguous words, indexed by the first word
-variables, one row per value of the later ones.
+evaluates true. A clause enters the package as its signed DIMACS integers, k
+for variable k and -k for its negation, the form the parser reads and
+serialize_dimacs writes. A formula holds n and two mask columns alone, the
+pos and the neg masks in clause order, with bit v of a clause's mask set when
+v (or -v) occurs; parsing, the circuit build and both counters read those.
+The empty clause is false (empty join), the empty formula true (empty meet).
+Assignments are bit strings (eps_1, ..., eps_n); the circuit puts eps_1 in the
+most significant bit of a basis index, but both counters enumerate with
+variable v at bit v - 1 (the masks shifted down by one; no count depends on
+the labelling). Enumeration packs index k into lane k % 64 of uint64 word
+k // 64; the counting oracle lays those words out as rows of 2^8 contiguous
+words, indexed by the first word variables, one row per value of the later
+ones.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -71,59 +72,9 @@ _ROW_BUDGET = 1 << 15
 _MASK_BUDGET = 1 << 31
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A variable occurrence with polarity; ``var`` is 1-based."""
-
-    var: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Clause:
-    """A finite set of literals, held as two variable bit masks: bit v of pos
-    is set when v occurs, bit v of neg when -v does (bit 0 is never set). A
-    literal set and its masks determine each other, so duplicates collapse
-    and equal clauses hold equal masks. The dataclass compares, hashes and
-    pickles the masks and refuses assignment and deletion."""
-
-    pos: int
-    neg: int
-
-    def __init__(self, literals: Iterable[Literal] = ()):
-        literals = set(literals)
-        object.__setattr__(self, "pos", sum(1 << l.var for l in literals if not l.negated))
-        object.__setattr__(self, "neg", sum(1 << l.var for l in literals if l.negated))
-
-    def __repr__(self) -> str:
-        return f"Clause({self.sorted_literals()!r})"
-
-    @property
-    def literals(self) -> frozenset[Literal]:
-        """The literal set the masks hold."""
-        return frozenset(self.sorted_literals())
-
-    def __len__(self) -> int:
-        return self.pos.bit_count() + self.neg.bit_count()
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.sorted_literals())
-
-    def dimacs(self) -> list[int]:
-        """The literals as signed DIMACS integers, sorted by variable, v before -v."""
-        return _dimacs(self.pos, self.neg)
-
-    def sorted_literals(self) -> list[Literal]:
-        """Literals sorted by variable, positive polarity first."""
-        return [Literal(abs(k), negated=k < 0) for k in self.dimacs()]
-
-
 def _dimacs(pos: int, neg: int) -> list[int]:
-    """Clause.dimacs of the clause holding these masks."""
+    """The signed DIMACS integers of the clause holding these masks, sorted by
+    variable, v before -v."""
     both, out = pos | neg, []
     while both:
         v = (both & -both).bit_length() - 1
@@ -135,41 +86,30 @@ def _dimacs(pos: int, neg: int) -> list[int]:
     return out
 
 
-def _clause(pos: int, neg: int) -> Clause:
-    """The clause holding these masks, built without literals."""
-    clause = object.__new__(Clause)
-    object.__setattr__(clause, "pos", pos)
-    object.__setattr__(clause, "neg", neg)
-    return clause
-
-
 @dataclass(frozen=True)
 class CnfFormula:
-    """A conjunction of clauses over variables 1..n, held as two mask columns:
-    pos[i] and neg[i] are clause i's masks. The formula holds only n and the
-    columns, which equality, hashing and pickling read; the constructor keeps
-    the masks of the clauses it is given, not the clauses, and .clauses is
-    the columns' Clause view, built on first read for every formula."""
+    """A conjunction of clauses over variables 1..n, each clause given as its
+    signed DIMACS integers, as in CnfFormula(3, [(1, -2), (3,), ()]); a
+    literal that is 0, not exactly an int, or past n is refused. The formula
+    holds n and two mask columns alone: bit v of pos[i] is set when clause i
+    holds v, bit v of neg[i] when it holds -v (bit 0 is never set), so
+    duplicates collapse. Equality, hashing and pickling read those."""
 
     n: int
     pos: tuple[int, ...]
     neg: tuple[int, ...]
 
-    def __init__(self, n: int, clauses: Iterable[Clause] = ()):
-        clauses = tuple(clauses)
-        if n < 0:
-            raise ValueError(f"variable count must be >= 0, got {n}")
-        pos, neg = tuple([c.pos for c in clauses]), tuple([c.neg for c in clauses])
-        bad = max(pos + neg, default=0).bit_length() - 1
-        if bad > n:
-            raise ValueError(f"clause references variable {bad} > n={n}")
-        self.__dict__.update(n=n, pos=pos, neg=neg)
-
-    @functools.cached_property
-    def clauses(self) -> tuple[Clause, ...]:
-        """The clauses in order, as Clause objects over the columns' masks,
-        built on first read, however the formula was made."""
-        return tuple(map(_clause, self.pos, self.neg))
+    def __init__(self, n: int, clauses: Iterable[Iterable[int]] = ()):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"variable count must be an int >= 0, got {n!r}")
+        pos_column, neg_column = [], []
+        for clause in map(tuple, clauses):
+            for k in clause:
+                if type(k) is not int or not 0 < abs(k) <= n:
+                    raise ValueError(f"clause {clause}: literal {k!r} is not a nonzero int in -{n}..{n}")
+            pos_column.append(sum(1 << k for k in set(clause) if k > 0))
+            neg_column.append(sum(1 << -k for k in set(clause) if k < 0))
+        self.__dict__.update(n=n, pos=tuple(pos_column), neg=tuple(neg_column))
 
     @property
     def num_clauses(self) -> int:
@@ -235,6 +175,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise DimacsParseError(f"non-integer counts in header {line!r}", lineno) from None
         if n < 0:
             raise DimacsParseError(f"negative variable count {n}", lineno)
+        if declared_m < 0:
+            raise DimacsParseError(f"negative clause count {declared_m}", lineno)
         break
     if n is None:
         raise DimacsParseError("empty input: no 'p cnf' header found", max(lineno, 1))
@@ -470,7 +412,3 @@ def count_satisfying(formula: CnfFormula) -> CountSummary:
     except ValueError as exc:
         raise InvariantError(f"brute-force count: {exc} (r={r}, total={total})") from exc
 
-
-def lits(*ints: int) -> Clause:
-    """Shorthand clause builder from signed DIMACS-style integers."""
-    return Clause(Literal(abs(k), negated=k < 0) for k in ints)

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cnf import Clause, CnfFormula, Literal, count_satisfying, lits, required_ancillas, serialize_dimacs
+from .cnf import CnfFormula, count_satisfying, required_ancillas, serialize_dimacs
 
 _SEED = 20250809
 
@@ -26,15 +26,13 @@ class CorpusEntry:
 def needle(n: int, solution_bits: list[int]) -> CnfFormula:
     """n unit clauses pinning exactly one assignment (r = 1)."""
     assert len(solution_bits) == n
-    return CnfFormula(
-        n, (Clause([Literal(i + 1, negated=bit == 0)]) for i, bit in enumerate(solution_bits))
-    )
+    return CnfFormula(n, [(v if bit else -v,) for v, bit in enumerate(solution_bits, start=1)])
 
 
-def _random_clause(rng: random.Random, n: int, max_len: int = 3) -> Clause:
+def _random_clause(rng: random.Random, n: int, max_len: int = 3) -> tuple[int, ...]:
     k = rng.randint(1, min(max_len, n))
     chosen = rng.sample(range(1, n + 1), k)
-    return Clause(Literal(v, negated=rng.random() < 0.5) for v in chosen)
+    return tuple(-v if rng.random() < 0.5 else v for v in chosen)
 
 
 def random_formula(
@@ -63,25 +61,25 @@ def default_corpus() -> list[CorpusEntry]:
     rng = random.Random(_SEED)
     entries = [
         CorpusEntry("empty_formula", CnfFormula(3)),
-        CorpusEntry("empty_clause", CnfFormula(2, [Clause(), lits(1)])),
-        CorpusEntry("single_positive_unit", CnfFormula(1, [lits(1)])),
-        CorpusEntry("single_negative_unit", CnfFormula(1, [lits(-1)])),
-        CorpusEntry("contradiction_pair", CnfFormula(1, [lits(1), lits(-1)])),
-        CorpusEntry("two_var_or", CnfFormula(2, [lits(1, 2)])),
-        CorpusEntry("complete_square_unsat", CnfFormula(2, [lits(1, 2), lits(1, -2), lits(-1, 2), lits(-1, -2)])),
-        CorpusEntry("tautology_only", CnfFormula(4, [lits(1, -1), lits(3, -3)])),
-        CorpusEntry("tautology_plus_unit", CnfFormula(3, [lits(2, -2), lits(3)])),
-        CorpusEntry("chain_implications", CnfFormula(4, [lits(-1, 2), lits(-2, 3), lits(-3, 4), lits(1)])),
-        CorpusEntry("xor_pair_sat", CnfFormula(2, [lits(1, 2), lits(-1, -2)])),
-        CorpusEntry("blocked_needle_unsat", CnfFormula(3, [lits(1), lits(2), lits(3), lits(-1, -2, -3)])),
+        CorpusEntry("empty_clause", CnfFormula(2, [(), (1,)])),
+        CorpusEntry("single_positive_unit", CnfFormula(1, [(1,)])),
+        CorpusEntry("single_negative_unit", CnfFormula(1, [(-1,)])),
+        CorpusEntry("contradiction_pair", CnfFormula(1, [(1,), (-1,)])),
+        CorpusEntry("two_var_or", CnfFormula(2, [(1, 2)])),
+        CorpusEntry("complete_square_unsat", CnfFormula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])),
+        CorpusEntry("tautology_only", CnfFormula(4, [(1, -1), (3, -3)])),
+        CorpusEntry("tautology_plus_unit", CnfFormula(3, [(2, -2), (3,)])),
+        CorpusEntry("chain_implications", CnfFormula(4, [(-1, 2), (-2, 3), (-3, 4), (1,)])),
+        CorpusEntry("xor_pair_sat", CnfFormula(2, [(1, 2), (-1, -2)])),
+        CorpusEntry("blocked_needle_unsat", CnfFormula(3, [(1,), (2,), (3,), (-1, -2, -3)])),
     ]
     for n in (6, 8, 10, 12):
         bits = [rng.randint(0, 1) for _ in range(n)]
         entries.append(CorpusEntry(f"needle_n{n}", needle(n, bits)))
     for n, pinned in ((6, 5), (8, 6)):  # r = 2^(n - pinned) satisfying assignments
         bits = [rng.randint(0, 1) for _ in range(n)]
-        clauses = [Clause([Literal(i + 1, negated=bits[i] == 0)]) for i in range(pinned)]
-        entries.append(CorpusEntry(f"thin_slab_n{n}_p{pinned}", CnfFormula(n, clauses)))
+        slab = CnfFormula(n, [(v if bits[v - 1] else -v,) for v in range(1, pinned + 1)])
+        entries.append(CorpusEntry(f"thin_slab_n{n}_p{pinned}", slab))
     for i in range(18):
         entries.append(CorpusEntry(f"random_{i:02d}", random_formula(rng)))
     for i in range(8):

@@ -92,20 +92,22 @@ class DensityMatrix2:
         return cls(np.full((2, 2), 0.5, dtype=complex))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Superoperator:
-    """4x4 matrix acting on column-stacked 2x2 matrices."""
+    """4x4 matrix acting on column-stacked 2x2 matrices, held as a read-only
+    copy, so the cached eigendecomposition stays the matrix's own."""
 
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("superoperator has non-finite entries")
-        self.matrix = m
+        object.__setattr__(self, "matrix", m)
+        m.setflags(write=False)
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ the circuit path: assignments come from itertools.product and clauses are
 evaluated with any()/all() directly, so expected values asserted in the tests
 are computed along a route the code under test never touches. bit_parallel_count
 takes the same oracle past n = 12, with each variable a 2^n-bit Python int
-column and each clause the OR of its literals' columns. dense_q_squared
+column and each clause the OR of its literals' columns. Both read a
+formula's clauses as signed integers through reference.decode. dense_q_squared
 is the one circuit-path helper: the reading of q^2 off the dense simulator in
 reference.py, kept as the cross-check for the permutation evaluation that
 statevector mode uses.
@@ -26,10 +27,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qsatlab.cnf import Clause, CnfFormula, Literal
+from qsatlab.cnf import CnfFormula
 from qsatlab.dynamics import IDENTITY2, Superoperator, vec
 from qsatlab.sat_circuit import build_sat_circuit
-from reference import prepare_uniform, run, success_probability
+from reference import decode, prepare_uniform, run, success_probability
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -39,12 +40,9 @@ CORPUS_DIR = REPO_ROOT / "corpus"
 
 
 def brute_eval(formula: CnfFormula, bits: tuple[int, ...]) -> bool:
-    """Reference semantics, written independently of the package."""
-    def lit_true(lit: Literal) -> bool:
-        value = bits[lit.var - 1] == 1
-        return not value if lit.negated else value
-
-    return all(any(lit_true(l) for l in clause) for clause in formula.clauses)
+    """Reference semantics, written independently of the package: literal k
+    holds when variable |k| is 1 and k > 0, or 0 and k < 0."""
+    return all(any((bits[abs(k) - 1] == 1) == (k > 0) for k in clause) for clause in decode(formula))
 
 
 def brute_count(formula: CnfFormula) -> int:
@@ -77,11 +75,11 @@ def bit_parallel_count(formula: CnfFormula) -> int:
     every = (1 << (1 << formula.n)) - 1
     columns = _truth_columns(formula.n)
     models = every
-    for clause in formula.clauses:
+    for clause in decode(formula):
         holds = 0
-        for lit in clause:
-            column = columns[lit.var - 1]
-            holds |= every ^ column if lit.negated else column
+        for k in clause:
+            column = columns[abs(k) - 1]
+            holds |= column if k > 0 else every ^ column
         models &= holds
     return models.bit_count()
 
@@ -129,6 +127,8 @@ def reference_parse(text: str) -> tuple[int, list[list[int]]] | tuple[str, int]:
                 return f"non-integer counts in header {line!r}", lineno
             if n < 0:
                 return f"negative variable count {n}", lineno
+            if declared < 0:
+                return f"negative clause count {declared}", lineno
             header_line = lineno
             continue
         if n is None:
@@ -206,7 +206,7 @@ def random_test_formula(rng: random.Random, max_n: int = 6, max_m: int = 8,
         lo = 0 if allow_empty_clause else 1
         k = rng.randint(lo, min(3, n))
         chosen = rng.sample(range(1, n + 1), k)
-        clauses.append(Clause(Literal(v, rng.random() < 0.5) for v in chosen))
+        clauses.append(tuple(-v if rng.random() < 0.5 else v for v in chosen))
     return CnfFormula(n, clauses)
 
 
@@ -214,7 +214,7 @@ def random_3cnf(n: int, seed: int) -> CnfFormula:
     """Uniform random 3-CNF at the threshold ratio, m = round(4.26 n)."""
     rng = random.Random(seed)
     return CnfFormula(n, [
-        Clause(Literal(v, rng.random() < 0.5) for v in rng.sample(range(1, n + 1), 3))
+        tuple(-v if rng.random() < 0.5 else v for v in rng.sample(range(1, n + 1), 3))
         for _ in range(round(4.26 * n))
     ])
 

@@ -8,8 +8,9 @@
   generator's observable-propagating adjoint, and heisenberg_evolve), spectra,
   the trace distance, the basis states and their readings, and the damping
   master equation's closed form.
-- filter_minimal, a formula's clauses without a complementary pair, read off
-  its .clauses view: the clauses whose masks the circuit build and the
+- decode, a formula's clauses as signed DIMACS integers read back off its
+  mask columns bit by bit, and filter_minimal, the decoded clauses without a
+  complementary pair: the clauses whose masks the circuit build and the
   ancilla count keep.
 
 Basis convention: for a register of N qubits, basis index k encodes qubit
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsatlab.cnf import Clause, CnfFormula
+from qsatlab.cnf import CnfFormula
 from qsatlab.dynamics import PROJ_EXCITED, DensityMatrix2, Mat2, Superoperator, propagate, vec
 from qsatlab.errors import InvariantError
 from qsatlab.sat_circuit import Circuit
@@ -221,10 +222,18 @@ def damping_closed_form(gamma: complex, rho0: DensityMatrix2, t: float) -> Densi
 # -- CNF -------------------------------------------------------------------------
 
 
-def filter_minimal(formula: CnfFormula) -> tuple[Clause, ...]:
-    """The clauses without a complementary pair, in order.
+def decode(formula: CnfFormula) -> list[tuple[int, ...]]:
+    """Each clause's literals, in clause order: v for bit v of its pos mask and
+    -v for bit v of its neg mask, by variable, v before -v."""
+    return [tuple(k for v in range(1, (pos | neg).bit_length())
+                  for k, mask in ((v, pos), (-v, neg)) if mask >> v & 1)
+            for pos, neg in zip(formula.pos, formula.neg)]
+
+
+def filter_minimal(formula: CnfFormula) -> tuple[tuple[int, ...], ...]:
+    """The decoded clauses without a complementary pair, in order.
 
     A dropped clause is satisfied by every assignment, so leaving it out of
     the conjunction leaves the satisfying set untouched. Idempotent.
     """
-    return tuple(c for c in formula.clauses if not c.pos & c.neg)
+    return tuple(c for c in decode(formula) if not {-k for k in c} & set(c))

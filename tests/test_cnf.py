@@ -1,7 +1,7 @@
-import copy
 import dataclasses
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -14,45 +14,36 @@ from conftest import (all_assignments, bit_parallel_count, brute_count, brute_ev
                       reference_parse)
 from qsatlab import cnf
 from qsatlab.cnf import (
-    Clause,
     CnfFormula,
     CountSummary,
-    Literal,
     count_satisfying,
     input_columns,
-    lits,
     parse_dimacs,
     required_ancillas,
     serialize_dimacs,
 )
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
-from reference import filter_minimal
+from reference import decode, filter_minimal
 
 
 # -- parsing ------------------------------------------------------------------
 
 
 def test_parse_basic():
-    f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-    assert f.n == 2
-    assert f.clauses == (lits(1, 2),)
+    assert parse_dimacs("p cnf 2 1\n1 2 0\n") == CnfFormula(2, [(1, 2)])
 
 
 def test_parse_unit_clauses():
-    f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
-    assert f.n == 1
-    assert f.clauses == (lits(1), lits(-1))
+    assert parse_dimacs("p cnf 1 2\n1 0\n-1 0\n") == CnfFormula(1, [(1,), (-1,)])
 
 
 def test_parse_comments_blank_lines_and_multiline_clauses():
     text = "c a comment\n\np cnf 3 2\nc another\n1 -2\n3 0\n-1 0\n"
-    f = parse_dimacs(text)
-    assert f.clauses == (lits(1, -2, 3), lits(-1))
+    assert parse_dimacs(text) == CnfFormula(3, [(1, -2, 3), (-1,)])
 
 
 def test_parse_two_clauses_on_one_line():
-    f = parse_dimacs("p cnf 2 2\n1 0 -2 0\n")
-    assert f.clauses == (lits(1), lits(-2))
+    assert parse_dimacs("p cnf 2 2\n1 0 -2 0\n") == CnfFormula(2, [(1,), (-2,)])
 
 
 def test_parse_variable_out_of_range():
@@ -75,9 +66,7 @@ def test_parse_missing_terminator():
 def test_parse_stops_at_satlib_end_marker():
     text = (Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf").read_text()
     assert text.endswith("%\n0\n")
-    f = parse_dimacs(text)
-    assert f.n == 3
-    assert f.clauses == (lits(1, -2, 3), lits(-1, 2))
+    assert parse_dimacs(text) == CnfFormula(3, [(1, -2, 3), (-1, 2)])
 
 
 def test_parse_rescans_lines_only_for_a_fault(monkeypatch):
@@ -89,8 +78,8 @@ def test_parse_rescans_lines_only_for_a_fault(monkeypatch):
     text = (Path(__file__).parent / "fixtures" / "satlib_end_marker.cnf").read_text()
     with monkeypatch.context() as m:
         m.setattr("qsatlab.cnf._clause_lines", rescan)
-        assert parse_dimacs(text).clauses == (lits(1, -2, 3), lits(-1, 2))
-        assert parse_dimacs(text.replace("%\n0\n", "")).clauses == (lits(1, -2, 3), lits(-1, 2))
+        assert parse_dimacs(text) == CnfFormula(3, [(1, -2, 3), (-1, 2)])
+        assert parse_dimacs(text.replace("%\n0\n", "")) == CnfFormula(3, [(1, -2, 3), (-1, 2)])
     with pytest.raises(DimacsParseError, match="line 5: non-integer token 'x'"):
         parse_dimacs(text.replace("%\n", "x 0\n%\n"))
 
@@ -144,6 +133,9 @@ def test_parse_duplicate_header():
     ("p cnf 3 1\n\u0663 0\n4 0\n", "line 2: non-integer token '\u0663'"),
     ("p cnf 1_0 1\n1 0\n", "line 1: non-integer counts in header 'p cnf 1_0 1'"),
     ("p cnf 3 \uff11\n1 0\n", "line 1: non-integer counts in header 'p cnf 3 \uff11'"),
+    # a negative clause count is a header fault, ahead of the clause lines and the count
+    ("p cnf 3 -1\n1 x 0\n", "line 1: negative clause count -1"),
+    ("p cnf 3 -1\n", "line 1: negative clause count -1"),
 ])
 def test_parse_reports_the_first_fault_in_file_order(text, message):
     with pytest.raises(DimacsParseError) as exc:
@@ -156,11 +148,11 @@ def test_parse_reads_ascii_tokens_among_other_non_ascii_text():
     """Only a token is held to ASCII: a comment, a separator or the text past
     an end marker may hold other characters, and +1, 01 and -0 stay numbers."""
     text = "c \u00e9t\u00e9 \u0663\np cnf 3 2\n+1\u00a0-02 0\n03 -0\n%\n\u0663 1_0\n"
-    assert parse_dimacs(text).clauses == (lits(1, -2), lits(3))
+    assert parse_dimacs(text) == CnfFormula(3, [(1, -2), (3,)])
 
 
 def test_parse_ignores_faults_after_the_end_marker():
-    assert parse_dimacs("p cnf 2 1\n1 -2 0\n%\nx 0\np cnf 9 9\n").clauses == (lits(1, -2),)
+    assert parse_dimacs("p cnf 2 1\n1 -2 0\n%\nx 0\np cnf 9 9\n") == CnfFormula(2, [(1, -2)])
 
 
 def test_parse_refuses_clause_masks_over_budget():
@@ -171,7 +163,7 @@ def test_parse_refuses_clause_masks_over_budget():
     with pytest.raises(ValueError, match="over the budget of 256 MiB"):
         parse_dimacs(far)
     near = parse_dimacs("p cnf 2000000 600\n" + "1 -2 3 0\n" * 600)
-    assert near.n == 2_000_000 and near.clauses == (lits(1, -2, 3),) * 600
+    assert near == CnfFormula(2_000_000, [(1, -2, 3)] * 600)
 
 
 @st.composite
@@ -235,30 +227,26 @@ def test_parse_matches_the_line_by_line_reference(text):
     else:
         n, clauses = expected
         assert formula.n == n, (text, expected)
-        assert [frozenset(c.dimacs()) for c in formula.clauses] == [frozenset(c) for c in clauses]
+        assert [frozenset(c) for c in decode(formula)] == [frozenset(c) for c in clauses]
 
 
 @given(_dimacs_texts())
 def test_parsed_formula_equals_the_public_build(text):
-    """parse_dimacs builds its formula without CnfFormula's range check, having
-    checked every token itself, and without a Clause; the result is the
-    formula the public way builds, whose Clause view it builds on first read."""
+    """parse_dimacs builds its formula without CnfFormula's checks, having
+    checked every token itself; the result is the formula the public
+    constructor builds from the same signed integers."""
     try:
         formula = parse_dimacs(text)
     except DimacsParseError:
         return
     n, clauses = reference_parse(text)
-    public = CnfFormula(n, [lits(*c) for c in clauses])
-    assert set(vars(public)) == {"n", "pos", "neg"}  # the clauses given are not kept
-    assert "clauses" not in vars(formula)
+    public = CnfFormula(n, clauses)
     assert formula == public and hash(formula) == hash(public)
+    assert vars(formula) == vars(public) and set(vars(public)) == {"n", "pos", "neg"}
+    assert type(formula.pos) is type(public.pos) is tuple
     thawed = pickle.loads(pickle.dumps(formula))
-    assert thawed == public and hash(thawed) == hash(public) and thawed.clauses == public.clauses
+    assert thawed == public and hash(thawed) == hash(public) and vars(thawed) == vars(public)
     assert formula.num_clauses == public.num_clauses == len(clauses)
-    assert formula.clauses == public.clauses and type(formula.clauses) is tuple
-    assert formula.clauses is formula.clauses  # built once
-    assert vars(formula) == vars(public)
-    assert pickle.loads(pickle.dumps(formula)) == public
     with pytest.raises(dataclasses.FrozenInstanceError):
         formula.n = formula.n + 1
 
@@ -277,62 +265,49 @@ def test_roundtrip_random(seed):
     assert parse_dimacs(serialize_dimacs(f)) == f
 
 
-# -- literals / clauses --------------------------------------------------------
+# -- clauses as signed integers --------------------------------------------------
 
 
-def test_literal_validation():
-    with pytest.raises(ValueError):
-        Literal(0)
+def test_formula_constructor_refuses_what_is_not_a_dimacs_literal():
+    """0 ends a DIMACS clause; bool and numpy integers are not ints; a literal
+    past n names no variable; n itself is an int >= 0."""
+    for clause in [(1, 0), (True,), (np.int64(1),), (1, -4), (4,)]:
+        with pytest.raises(ValueError, match=re.escape(f"clause {clause}: literal {clause[-1]!r} ")):
+            CnfFormula(3, [(2,), clause])
+    for n in [2.5, -1, True]:
+        with pytest.raises(ValueError, match=re.escape(f"variable count must be an int >= 0, got {n!r}")):
+            CnfFormula(n)
 
 
 def test_clause_set_semantics():
-    c = Clause([Literal(1), Literal(1), Literal(2, True)])
-    assert len(c) == 2
-    assert Clause([Literal(1), Literal(2, True), Literal(1)]) == c
+    f = CnfFormula(2, [(1, 1, -2)])
+    assert f == CnfFormula(2, [[-2, 1]]) == CnfFormula(2, [(1, -2, 1)])
+    assert decode(f) == [(1, -2)]
+    assert serialize_dimacs(f) == "p cnf 2 1\n1 -2 0\n"
 
 
 _LITERALS = st.lists(
-    st.builds(Literal, st.one_of(st.integers(1, 4), st.integers(60, 200)), st.booleans()), max_size=8
+    st.one_of(st.integers(1, 4), st.integers(60, 200)).flatmap(lambda v: st.sampled_from([v, -v])), max_size=8
 )
 
 
 @given(literals=_LITERALS, data=st.data())
 def test_clause_masks_keep_set_semantics(literals, data):
-    """Duplicates, complementary pairs, variables past 64 and the empty list."""
-    clause = Clause(literals)
+    """Duplicates, complementary pairs, variables past 64 and the empty clause."""
+    formula = CnfFormula(200, [literals])
     distinct = frozenset(literals)
-    assert clause.literals == distinct
-    assert set(clause) == distinct
-    assert len(clause) == len(distinct)
-    assert clause.sorted_literals() == sorted(distinct, key=lambda l: (l.var, l.negated))
-    assert clause.dimacs() == [-l.var if l.negated else l.var for l in clause.sorted_literals()]
-    assert clause.pos == sum(1 << l.var for l in distinct if not l.negated)
-    assert clause.neg == sum(1 << l.var for l in distinct if l.negated)
-    assert (not clause.pos & clause.neg) == (len({l.var for l in distinct}) == len(distinct))
+    assert formula.pos == (sum(1 << k for k in distinct if k > 0),)
+    assert formula.neg == (sum(1 << -k for k in distinct if k < 0),)
+    assert decode(formula) == [tuple(sorted(distinct, key=lambda k: (abs(k), k < 0)))]
+    assert serialize_dimacs(formula).splitlines()[1] == " ".join(map(str, [*decode(formula)[0], 0]))
+    assert (not formula.pos[0] & formula.neg[0]) == (len({abs(k) for k in distinct}) == len(distinct))
 
     shuffled = data.draw(st.permutations(literals))
     repeated = data.draw(st.lists(st.sampled_from(literals), max_size=4)) if literals else []
-    same = Clause(shuffled + repeated)
-    assert same == clause and hash(same) == hash(clause)
+    same = CnfFormula(200, [shuffled + repeated])
+    assert same == formula and hash(same) == hash(formula)
     other = data.draw(_LITERALS)
-    assert (Clause(other) == clause) == (frozenset(other) == distinct)
-    assert clause != distinct and clause != (clause.pos, clause.neg)
-
-
-def test_clause_is_immutable_and_pickles():
-    clause = lits(1, -70)
-    with pytest.raises(AttributeError):
-        clause.pos = 0
-    with pytest.raises(AttributeError):
-        del clause.neg
-    assert not hasattr(clause, "__dict__")  # slots only
-    assert pickle.loads(pickle.dumps(clause)) == clause
-    assert copy.copy(clause) == clause
-    assert copy.deepcopy(clause) == clause
-    # The bytes pickle.dumps(lits(1, -70)) wrote while Clause reduced to cnf._clause(pos, neg).
-    assert pickle.loads(b"\x80\x04\x95,\x00\x00\x00\x00\x00\x00\x00\x8c\x0bqsatlab.cnf\x94\x8c\x07_clause"
-                        b"\x94\x93\x94K\x02\x8a\t\x00\x00\x00\x00\x00\x00\x00\x00@\x86\x94R\x94.") == clause
-    assert repr(clause) == "Clause([Literal(var=1, negated=False), Literal(var=70, negated=True)])"
+    assert (CnfFormula(200, [other]) == formula) == (frozenset(other) == distinct)
 
 
 @given(st.integers(0, 10_000))
@@ -344,21 +319,22 @@ def test_roundtrip_past_64_variables(seed):
         signed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, 5))]
         if signed and rng.random() < 0.25:
             signed.append(-signed[0])
-        clauses.append(lits(*signed))
+        clauses.append(signed)
     f = CnfFormula(n, clauses)
     assert parse_dimacs(serialize_dimacs(f)) == f
-    assert filter_minimal(f) == tuple(c for c in clauses if len({l.var for l in c}) == len(c))
+    minimal = [set(c) for c in clauses if len({abs(k) for k in c}) == len(c)]
+    assert [set(c) for c in filter_minimal(f)] == minimal
 
 
 # -- tautology elimination ---------------------------------------------------------
 
 
 def test_filter_minimal_examples():
-    f = CnfFormula(2, [lits(1, -1), lits(2)])
+    f = CnfFormula(2, [(1, -1), (2,)])
     kept = filter_minimal(f)
-    assert kept == (lits(2),)
+    assert kept == ((2,),)
     assert brute_count(f) == brute_count(CnfFormula(2, kept)) == 2
-    assert filter_minimal(CnfFormula(1, [lits(1)])) == (lits(1),)
+    assert filter_minimal(CnfFormula(1, [(1,)])) == ((1,),)
     assert filter_minimal(CnfFormula(0)) == ()
 
 
@@ -367,9 +343,9 @@ def test_clause_with_complementary_pair_is_tautological(seed):
     rng = random.Random(seed)
     f = random_test_formula(rng, max_n=5, max_m=4)
     v = rng.randint(1, f.n)
-    taut = Clause(list(lits(v, -v)) + list(rng.choice(f.clauses).literals if f.clauses else []))
+    taut = (v, -v, *(rng.choice(decode(f)) if f.num_clauses else ()))
     assert all(brute_eval(CnfFormula(f.n, [taut]), bits) for bits in all_assignments(f.n))
-    spiked = CnfFormula(f.n, list(f.clauses) + [taut])
+    spiked = CnfFormula(f.n, [*decode(f), taut])
     assert count_satisfying(spiked).r == count_satisfying(f).r
     assert count_satisfying(CnfFormula(f.n, filter_minimal(spiked))).r == count_satisfying(spiked).r
 
@@ -389,12 +365,9 @@ _SIGNED = st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v]))
 def test_ancillas_in_one_pass_match_the_two_pass_count(clauses):
     """Empty clauses, tautologies and the empty formula: mu is 1 unless every
     kept clause is non-empty, and then the kept clauses' literal count."""
-    formula = CnfFormula(6, [lits(*c) for c in clauses])
+    formula = CnfFormula(6, clauses)
     kept = filter_minimal(formula)
-    if not kept or not all(c.pos | c.neg for c in kept):
-        expected = 1
-    else:
-        expected = sum(c.pos.bit_count() + c.neg.bit_count() for c in kept)
+    expected = sum(map(len, kept)) if kept and all(kept) else 1
     assert required_ancillas(formula) == expected
 
 
@@ -402,14 +375,14 @@ def test_ancillas_in_one_pass_match_the_two_pass_count(clauses):
 
 
 def test_count_examples():
-    summary = count_satisfying(CnfFormula(2, [lits(1, 2)]))
+    summary = count_satisfying(CnfFormula(2, [(1, 2)]))
     assert (summary.r, summary.q_squared) == (3, Fraction(3, 4))
-    assert summary.r == brute_count(CnfFormula(2, [lits(1, 2)]))
+    assert summary.r == brute_count(CnfFormula(2, [(1, 2)]))
 
-    assert count_satisfying(CnfFormula(1, [lits(1), lits(-1)])).r == 0
+    assert count_satisfying(CnfFormula(1, [(1,), (-1,)])).r == 0
 
     n = 6
-    unique = CnfFormula(n, [lits(v) for v in range(1, n + 1)])
+    unique = CnfFormula(n, [(v,) for v in range(1, n + 1)])
     summary = count_satisfying(unique)
     assert summary.r == 1 and summary.q_squared == Fraction(1, 2**n)
 
@@ -432,7 +405,7 @@ def _clause_mixes(draw, n: int) -> CnfFormula:
         signed = [v if draw(st.booleans()) else -v for v in variables]
         if signed and draw(st.integers(0, 3)) == 0:
             signed.append(-signed[0])
-        clauses.append(lits(*signed))
+        clauses.append(signed)
     return CnfFormula(n, clauses)
 
 
@@ -460,11 +433,11 @@ def test_count_applies_a_run_of_clauses_split_across_row_batches(n):
     rows holds, and at n = 15 more of them pin nothing outside a row than
     one batch holds, so that run is split across two batches."""
     rng = random.Random(n)
-    formula = CnfFormula(n, [lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 6)))
+    formula = CnfFormula(n, [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 6)]
                              for _ in range(240)])
     batch = cnf._ROW_BUDGET >> cnf._ROW_VARS
-    unpinned = sum(1 for c in formula.clauses if (c.pos | c.neg).bit_length() <= 7 + cnf._ROW_VARS)
-    assert len(formula.clauses) > batch and (n == 14 or unpinned > batch)
+    unpinned = sum(1 for pos, neg in zip(formula.pos, formula.neg) if (pos | neg).bit_length() <= 7 + cnf._ROW_VARS)
+    assert formula.num_clauses > batch and (n == 14 or unpinned > batch)
     r = count_satisfying(formula).r
     assert r == bit_parallel_count(formula) and r > 0
 
@@ -483,9 +456,9 @@ def test_count_of_empty_unit_and_tautological_clauses(n):
         (-1, 1, n, -n): 2**n,
     }
     for clause, expected in cases.items():
-        formula = CnfFormula(n, [lits(*clause)])
+        formula = CnfFormula(n, [clause])
         assert count_satisfying(formula).r == brute_count(formula) == expected, clause
-    tautologies_then_unit = CnfFormula(n, [lits(1, -1), lits(n, -n), lits(-1)])
+    tautologies_then_unit = CnfFormula(n, [(1, -1), (n, -n), (-1,)])
     assert count_satisfying(tautologies_then_unit).r == brute_count(tautologies_then_unit) == 2 ** (n - 1)
     assert count_satisfying(CnfFormula(0, [])).r == 1
 
@@ -527,7 +500,7 @@ def test_count_peak_memory_at_the_cap_is_the_table_plus_rows():
 def test_count_builds_clause_rows_in_bounded_batches():
     """2,550 clauses at n = 20: built at once their rows would take 5 MiB;
     batched, the whole count stays under 2 MiB."""
-    formula = CnfFormula(20, [c for seed in range(30) for c in random_3cnf(20, seed).clauses])
+    formula = CnfFormula(20, [c for seed in range(30) for c in decode(random_3cnf(20, seed))])
     tracemalloc.start()
     try:
         assert count_satisfying(formula).r == 0
@@ -538,7 +511,7 @@ def test_count_builds_clause_rows_in_bounded_batches():
 
 
 def test_count_cap():
-    big = CnfFormula(25, [lits(1)])
+    big = CnfFormula(25, [(1,)])
     with pytest.raises(EnumerationCapError, match="exceeds the cap"):
         count_satisfying(big)
 
@@ -546,7 +519,7 @@ def test_count_cap():
 def test_count_out_of_range_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr("qsatlab.cnf._count_models", lambda formula: 3)
     with pytest.raises(InvariantError, match="satisfying count out of range"):
-        count_satisfying(CnfFormula(1, [lits(1)]))
+        count_satisfying(CnfFormula(1, [(1,)]))
     with pytest.raises(ValueError, match="out of range"):
         CountSummary(r=3, total=2, q_squared=Fraction(3, 2))
 
@@ -557,4 +530,4 @@ def test_full_count_iff_all_clauses_tautological(seed):
     f = random_test_formula(rng, max_n=6, max_m=5, allow_empty_clause=True)
     summary = count_satisfying(f)
     assert 0 <= summary.r <= summary.total
-    assert (summary.r == summary.total) == all(c.pos & c.neg for c in f.clauses)
+    assert (summary.r == summary.total) == all(pos & neg for pos, neg in zip(f.pos, f.neg))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -293,3 +294,19 @@ def test_superoperator_validation():
         Superoperator(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         Superoperator(np.full((4, 4), np.nan))
+
+
+def test_superoperator_is_frozen_over_a_read_only_copy():
+    """Once its eigendecomposition is cached, neither reassigning the matrix
+    nor writing into it can leave propagate on a stale one; the caller's
+    array is copied, not frozen."""
+    given = np.asarray(damping_generator(1.0).matrix).copy()
+    sup = Superoperator(given, label="damping")
+    sup._eig
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sup.matrix = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(ValueError, match="read-only"):
+        sup.matrix[0, 0] = 5
+    assert given.flags.writeable
+    given[0, 0] = 5
+    assert sup.matrix[0, 0] == 0 and np.array_equal(sup.matrix, damping_generator(1.0).matrix)

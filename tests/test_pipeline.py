@@ -21,10 +21,10 @@ from hypothesis import given, strategies as st
 
 from conftest import brute_count, inflating_generator
 import qsatlab
-from qsatlab import adaptive, cli, cnf, pipeline
+from qsatlab import adaptive, cli, pipeline
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
-from qsatlab.cnf import CnfFormula, count_satisfying, lits, parse_dimacs, required_ancillas, serialize_dimacs
+from qsatlab.cnf import CnfFormula, count_satisfying, parse_dimacs, required_ancillas, serialize_dimacs
 from qsatlab.corpus import write_corpus
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
 from qsatlab.pipeline import (
@@ -51,15 +51,15 @@ def _write(tmp_path: Path, name: str, formula: CnfFormula) -> Path:
 
 
 def test_statevector_q_squared_reads_the_result_qubit():
-    assert pipeline._circuit_count(CnfFormula(2, [lits(1, 2)]))[0] == pytest.approx(0.75, abs=1e-12)
-    assert pipeline._circuit_count(CnfFormula(1, [lits(1), lits(-1)]))[0] == 0.0
+    assert pipeline._circuit_count(CnfFormula(2, [(1, 2)]))[0] == pytest.approx(0.75, abs=1e-12)
+    assert pipeline._circuit_count(CnfFormula(1, [(1,), (-1,)]))[0] == 0.0
 
 
 # -- run_pipeline --------------------------------------------------------------------
 
 
 def test_chaos_run_on_easy_sat_instance(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     report = run_pipeline(PipelineConfig(input_path=str(path), amplifier="chaos"))
     assert isinstance(report.verdict, ChaosVerdict)
     assert report.verdict.m_hit == 0 and report.verdict.window == 4
@@ -69,14 +69,14 @@ def test_chaos_run_on_easy_sat_instance(tmp_path):
 
 def test_stochastic_run_on_unique_solution_instance(tmp_path):
     n = 8
-    path = _write(tmp_path, "needle.cnf", CnfFormula(n, [lits(v) for v in range(1, n + 1)]))
+    path = _write(tmp_path, "needle.cnf", CnfFormula(n, [(v,) for v in range(1, n + 1)]))
     report = run_pipeline(PipelineConfig(input_path=str(path), amplifier="stochastic"))
     assert report.verdict.damped and report.verdict.satisfiable
     assert report.agreement
 
 
 def test_both_amplifiers_reject_contradiction(tmp_path):
-    path = _write(tmp_path, "contra.cnf", CnfFormula(1, [lits(1), lits(-1)]))
+    path = _write(tmp_path, "contra.cnf", CnfFormula(1, [(1,), (-1,)]))
     for amplifier in ("chaos", "stochastic"):
         report = run_pipeline(PipelineConfig(input_path=str(path), amplifier=amplifier))
         assert report.amplifier_satisfiable is False
@@ -99,7 +99,7 @@ def test_oracle_mode_requires_enumerable_instance(tmp_path):
 
 
 def test_statevector_mode_refuses_too_many_inputs(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "wide.cnf", CnfFormula(25, [lits(v, v + 1) for v in range(1, 25)]))
+    path = _write(tmp_path, "wide.cnf", CnfFormula(25, [(v, v + 1) for v in range(1, 25)]))
 
     def never_built(formula):
         raise AssertionError("the circuit was built before the input count was checked")
@@ -112,7 +112,7 @@ def test_statevector_mode_refuses_too_many_inputs(tmp_path, capsys, monkeypatch)
 
 def test_statevector_mode_solves_circuits_wider_than_the_qubit_cap(tmp_path, capsys):
     rng = random.Random(7)
-    formula = CnfFormula(5, [lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3)))
+    formula = CnfFormula(5, [tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3))
                              for _ in range(21)])
     assert formula.n + required_ancillas(formula) == 68
     path = _write(tmp_path, "threshold.cnf", formula)
@@ -139,7 +139,7 @@ def test_config_validation():
 
 
 def test_report_json_schema_and_determinism(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     cfg = PipelineConfig(input_path=str(path), amplifier="chaos")
     first = run_pipeline(cfg).to_json_dict()
     second = run_pipeline(cfg).to_json_dict()
@@ -152,7 +152,7 @@ def test_report_json_schema_and_determinism(tmp_path):
 
 
 def test_emit_chaos_trace_csv(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     out = tmp_path / "trace.csv"
     run_pipeline(
         PipelineConfig(input_path=str(path), amplifier="chaos", emit_path=str(out), format="csv")
@@ -164,7 +164,7 @@ def test_emit_chaos_trace_csv(tmp_path):
 
 
 def test_emit_stochastic_trace_csv(tmp_path):
-    path = _write(tmp_path, "needle.cnf", CnfFormula(4, [lits(v) for v in range(1, 5)]))
+    path = _write(tmp_path, "needle.cnf", CnfFormula(4, [(v,) for v in range(1, 5)]))
     out = tmp_path / "trace.csv"
     run_pipeline(
         PipelineConfig(input_path=str(path), amplifier="stochastic", emit_path=str(out), format="csv")
@@ -177,7 +177,7 @@ def test_emit_stochastic_trace_csv(tmp_path):
 
 
 def test_emit_json_report_round_trips(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     out = tmp_path / "report.json"
     report = run_pipeline(
         PipelineConfig(input_path=str(path), amplifier="chaos", emit_path=str(out), format="json")
@@ -191,7 +191,7 @@ def test_emit_json_report_round_trips(tmp_path):
 
 
 def test_verdict_blocks_and_trace_headers(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     chaos = run_pipeline(PipelineConfig(input_path=str(path), amplifier="chaos"))
     assert json.loads(render(chaos, "json"))["amplifier"]["verdict"] == {
         "m_hit": 0, "window": 4, "lower_bound": 1 / math.log2(3.71), "satisfiable": True,
@@ -225,8 +225,8 @@ def _stochastic(q_squared, **options):
 
 
 def test_damping_inputs_with_different_counts_share_one_verdict(tmp_path, memo):
-    three = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
-    two = _write(tmp_path, "unit.cnf", CnfFormula(2, [lits(1)]))
+    three = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
+    two = _write(tmp_path, "unit.cnf", CnfFormula(2, [(1,)]))
     a = run_pipeline(PipelineConfig(input_path=str(three), amplifier="stochastic"))
     b = run_pipeline(PipelineConfig(input_path=str(two), amplifier="stochastic"))
     assert (a.reference.r, b.reference.r) == (3, 2)
@@ -303,8 +303,8 @@ def test_one_chaos_configuration_is_decided_once(tmp_path, chaos_memo, monkeypat
     calls = []
     real = pipeline.chaos.detect
     monkeypatch.setattr(pipeline.chaos, "detect", lambda q2, n: calls.append((q2, n)) or real(q2, n))
-    either = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
-    nand = _write(tmp_path, "nand.cnf", CnfFormula(2, [lits(-1, -2)]))
+    either = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
+    nand = _write(tmp_path, "nand.cnf", CnfFormula(2, [(-1, -2)]))
     a = run_pipeline(PipelineConfig(input_path=str(either)))
     b = run_pipeline(PipelineConfig(input_path=str(nand), mode="statevector"))
     assert (a.reference.r, b.reference.r) == (3, 3)
@@ -341,7 +341,7 @@ def test_self_check_meets_the_chaos_memo_and_agrees_everywhere(chaos_memo, corpu
 
 
 def test_render_rejects_invalid_combinations(tmp_path):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     report = run_pipeline(PipelineConfig(input_path=str(path)))
     with pytest.raises(ValueError, match="reports only"):
         render("not a report", "json")
@@ -367,13 +367,13 @@ def test_read_expectation():
 
 
 def test_self_check_refuses_bare_expectation(tmp_path, capsys):
-    (tmp_path / "bare.cnf").write_text("c expect\n" + serialize_dimacs(CnfFormula(2, [lits(1, 2)])))
+    (tmp_path / "bare.cnf").write_text("c expect\n" + serialize_dimacs(CnfFormula(2, [(1, 2)])))
     assert main(["self-check", "--corpus", str(tmp_path)]) == 65
     assert "parse error: line 1: 'c expect' takes SAT or UNSAT, got ''" in capsys.readouterr().err
 
 
 def test_self_check_refuses_unknown_expectation(tmp_path, capsys):
-    (tmp_path / "odd.cnf").write_text("c expect maybe\n" + serialize_dimacs(CnfFormula(2, [lits(1, 2)])))
+    (tmp_path / "odd.cnf").write_text("c expect maybe\n" + serialize_dimacs(CnfFormula(2, [(1, 2)])))
     with pytest.raises(DimacsParseError, match="got 'maybe'"):
         self_check(tmp_path)
     assert main(["self-check", "--corpus", str(tmp_path)]) == 65
@@ -381,8 +381,8 @@ def test_self_check_refuses_unknown_expectation(tmp_path, capsys):
 
 
 def test_self_check_small_corpus(tmp_path):
-    _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
-    (tmp_path / "b.cnf").write_text("c expect UNSAT\n" + serialize_dimacs(CnfFormula(1, [lits(1), lits(-1)])))
+    _write(tmp_path, "a.cnf", CnfFormula(2, [(1, 2)]))
+    (tmp_path / "b.cnf").write_text("c expect UNSAT\n" + serialize_dimacs(CnfFormula(1, [(1,), (-1,)])))
     summary = self_check(tmp_path)
     assert summary.ok
     assert summary.disagreements == 0
@@ -391,8 +391,8 @@ def test_self_check_small_corpus(tmp_path):
 
 
 def test_self_check_matrix_counts_an_amplifier_disagreement(tmp_path, monkeypatch):
-    _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
-    _write(tmp_path, "b.cnf", CnfFormula(1, [lits(1), lits(-1)]))
+    _write(tmp_path, "a.cnf", CnfFormula(2, [(1, 2)]))
+    _write(tmp_path, "b.cnf", CnfFormula(1, [(1,), (-1,)]))
     real = pipeline._amplifier_verdict
 
     def wrong_on_b(cfg, q_squared, n):
@@ -414,7 +414,7 @@ def test_self_check_matrix_counts_an_amplifier_disagreement(tmp_path, monkeypatc
 
 
 def test_self_check_lists_every_disagreeing_cell_after_the_expectation(tmp_path, monkeypatch):
-    (tmp_path / "b.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [lits(1), lits(-1)])))
+    (tmp_path / "b.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [(1,), (-1,)])))
     real = pipeline._amplifier_verdict
     monkeypatch.setattr(pipeline, "_amplifier_verdict",
                         lambda cfg, q_squared, n: SimpleNamespace(satisfiable=not real(cfg, q_squared, n).satisfiable))
@@ -427,7 +427,7 @@ def test_self_check_lists_every_disagreeing_cell_after_the_expectation(tmp_path,
 
 
 def test_self_check_catches_mislabeled_expectation(tmp_path):
-    (tmp_path / "lie.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [lits(1), lits(-1)])))
+    (tmp_path / "lie.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [(1,), (-1,)])))
     summary = self_check(tmp_path)
     assert not summary.ok
     assert summary.disagreements >= 1
@@ -454,7 +454,7 @@ def _small_formulas(draw) -> CnfFormula:
     may be empty, repeat a literal or hold both signs of a variable."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
-    return CnfFormula(n, [lits(*c) for c in draw(st.lists(st.lists(literal, max_size=3), max_size=8))])
+    return CnfFormula(n, draw(st.lists(st.lists(literal, max_size=3), max_size=8)))
 
 
 @given(_small_formulas())
@@ -480,7 +480,7 @@ def test_self_check_rejects_empty_directory(tmp_path):
 def test_self_check_raises_oserror_naming_a_missing_or_file_corpus(tmp_path):
     with pytest.raises(FileNotFoundError, match="no-such-dir"):
         self_check(tmp_path / "no-such-dir")
-    _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
+    _write(tmp_path, "a.cnf", CnfFormula(2, [(1, 2)]))
     with pytest.raises(NotADirectoryError, match="a.cnf"):
         self_check(tmp_path / "a.cnf")
 
@@ -489,7 +489,7 @@ def test_cli_self_check_exit_codes_for_missing_and_empty_corpora(tmp_path, capsy
     missing = tmp_path / "does-not-exist"
     assert main(["self-check", "--corpus", str(missing)]) == 66
     assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
-    not_dir = _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
+    not_dir = _write(tmp_path, "a.cnf", CnfFormula(2, [(1, 2)]))
     assert main(["self-check", "--corpus", str(not_dir)]) == 66
     assert f"Not a directory: '{not_dir}'" in capsys.readouterr().err
     empty = tmp_path / "empty"
@@ -520,8 +520,8 @@ def test_corpus_contains_required_mix(corpus_dir):
 
 
 def test_cli_solve_exit_verdict(tmp_path, capsys):
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
-    unsat = _write(tmp_path, "unsat.cnf", CnfFormula(1, [lits(1), lits(-1)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
+    unsat = _write(tmp_path, "unsat.cnf", CnfFormula(1, [(1,), (-1,)]))
     assert main(["solve", "--input", str(sat)]) == 0
     assert main(["solve", "--input", str(sat), "--exit-verdict"]) == 10
     assert main(["solve", "--input", str(unsat), "--exit-verdict"]) == 20
@@ -530,7 +530,7 @@ def test_cli_solve_exit_verdict(tmp_path, capsys):
 
 
 def test_cli_solve_statevector_with_emit(tmp_path, capsys):
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     out = tmp_path / "rep.json"
     code = main(["solve", "--input", str(sat), "--mode", "statevector", "--amplifier",
                  "stochastic", "--emit", str(out)])
@@ -599,7 +599,7 @@ def test_emit_into_a_pipe_delivers_the_bytes_a_file_gets(tmp_path, capsys, corpu
 def test_input_through_a_pipe_parses_like_the_file(tmp_path):
     """--input /dev/fd/N reads the pipe behind descriptor N to its end; the
     text, larger than the pipe's buffer, is fed from a thread."""
-    formula = CnfFormula(3, [lits(1, -2), lits(2, 3), lits(-3)])
+    formula = CnfFormula(3, [(1, -2), (2, 3), (-3,)])
     path = tmp_path / "padded.cnf"
     path.write_text("c padding\n" * 20_000 + serialize_dimacs(formula))
     read_end, write_end = os.pipe()
@@ -617,7 +617,7 @@ def test_input_through_a_pipe_parses_like_the_file(tmp_path):
         os.close(read_end)
     assert not writer.is_alive()
     got, want = parse_dimacs(piped), parse_dimacs(path.read_text())
-    assert (got.n, got.clauses) == (want.n, want.clauses) == (3, formula.clauses)
+    assert got == want == formula
 
 
 def test_crlf_input_reports_as_its_lf_twin(tmp_path, capsys, corpus_dir):
@@ -674,7 +674,7 @@ def test_cli_refuses_removed_protocol_options_before_reading_input(tmp_path, cap
 def test_cli_refuses_option_abbreviations(tmp_path, capsys, argv, message):
     """A prefix of an option is a usage error, never the option itself, so an
     option removed later cannot be read as a live one it prefixes."""
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     with pytest.raises(SystemExit) as exc:
         main([arg.format(sat=sat, corpus=tmp_path) for arg in argv])
     assert exc.value.code == 64
@@ -714,7 +714,7 @@ def test_cli_solve_takes_every_default_from_pipeline_config(monkeypatch, capsys)
 
 
 def test_cli_path_errors(tmp_path, capsys):
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     assert main(["solve", "--input", str(tmp_path)]) == 66
     assert capsys.readouterr().err == f"qsatlab: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert main(["solve", "--input", str(sat), "--emit", str(tmp_path)]) == 64
@@ -737,7 +737,7 @@ def test_cli_solves_satlib_file_with_end_marker(capsys):
 
 @pytest.mark.parametrize("option", ["--gamma-re", "--gamma-im"])
 def test_cli_refuses_infinite_gamma_up_front(tmp_path, capsys, option):
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     assert main(["solve", "--input", str(sat), "--amplifier", "stochastic", option, "inf"]) == 64
     err = capsys.readouterr().err
     assert "gamma must be finite" in err
@@ -772,29 +772,10 @@ def test_cli_refuses_dimacs_numbers_that_are_not_ascii_decimal(tmp_path, capsys,
     assert capsys.readouterr().err == f"qsatlab: parse error: {message}\n"
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_solve_builds_no_clause_object(corpus_dir, monkeypatch, mode):
-    """The pipeline reads a formula's mask columns only: the parsed formula's
-    Clause view is never built, in either mode."""
-    parsed, built = [], []
-
-    def parse(text):
-        parsed.append(parse_dimacs(text))
-        return parsed[-1]
-
-    monkeypatch.setattr(pipeline, "parse_dimacs", parse)
-    monkeypatch.setattr(cnf, "_clause", lambda pos, neg: built.append((pos, neg)))
-    for path in sorted(corpus_dir.glob("*.cnf")):
-        for amplifier in AMPLIFIERS:
-            run_pipeline(PipelineConfig(input_path=str(path), mode=mode, amplifier=amplifier))
-    assert len(parsed) == 2 * len(list(corpus_dir.glob("*.cnf"))) and built == []
-    assert not any("clauses" in vars(formula) for formula in parsed)
-
-
 def test_cli_refuses_a_horizon_past_the_float_range_as_a_rate_fit(tmp_path, capsys):
     """Re(gamma) = 1e-308 puts the horizon 20/Re(gamma) at inf: the rate fit's
     refusal names it, as for any Re(gamma) under 1.73e-152."""
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     assert main(["solve", "--input", str(sat), "--amplifier", "stochastic", "--gamma-re", "1e-308"]) == 64
     err = capsys.readouterr().err
     assert err.startswith("qsatlab: Re(gamma)=1e-308: the rate fit needs squared sample times")
@@ -821,8 +802,8 @@ def _decide_or_refuse(capfd, paths, *options):
 
 @pytest.fixture
 def sat_and_unsat(tmp_path):
-    return (_write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)])),
-            _write(tmp_path, "unsat.cnf", CnfFormula(1, [lits(1), lits(-1)])))
+    return (_write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)])),
+            _write(tmp_path, "unsat.cnf", CnfFormula(1, [(1,), (-1,)])))
 
 
 def test_gamma_sweep_decides_or_refuses_cleanly(capfd, sat_and_unsat):
@@ -840,7 +821,7 @@ def test_gamma_sweep_decides_or_refuses_cleanly(capfd, sat_and_unsat):
 
 
 def test_cli_internal_errors_exit_70(tmp_path, capsys, monkeypatch):
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     argv = ["solve", "--input", str(sat), "--amplifier", "stochastic"]
     pipeline._stochastic_verdict.cache_clear()  # a memoised verdict would never reach the patch
     with monkeypatch.context() as patch:
@@ -885,7 +866,7 @@ def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
             if self.prog == "qsatlab":
                 built.append(self)
 
-    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [lits(1, 2)]))
+    sat = _write(tmp_path, "sat.cnf", CnfFormula(2, [(1, 2)]))
     good = ["solve", "--input", str(sat)]
     monkeypatch.setattr(cli, "_Parser", CountingParser)
     cli.build_parser.cache_clear()
@@ -989,7 +970,7 @@ CLI_MODULES = ["qsatlab", "qsatlab.chaos", "qsatlab.cli", "qsatlab.cnf", "qsatla
     ("oracle", "stochastic", ["qsatlab.adaptive", "qsatlab.dynamics"]),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, mode, amplifier, added):
-    path = _write(tmp_path, "or.cnf", CnfFormula(2, [lits(1, 2)]))
+    path = _write(tmp_path, "or.cnf", CnfFormula(2, [(1, 2)]))
     argv = ["solve", "--input", str(path), "--mode", mode, "--amplifier", amplifier]
     probe = ("import json, sys, qsatlab.cli\n"
              "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'qsatlab')\n"
@@ -1006,9 +987,9 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_cli_self_check(tmp_path, capsys):
-    _write(tmp_path, "a.cnf", CnfFormula(2, [lits(1, 2)]))
+    _write(tmp_path, "a.cnf", CnfFormula(2, [(1, 2)]))
     assert main(["self-check", "--corpus", str(tmp_path)]) == 0
-    (tmp_path / "lie.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [lits(1), lits(-1)])))
+    (tmp_path / "lie.cnf").write_text("c expect SAT\n" + serialize_dimacs(CnfFormula(1, [(1,), (-1,)])))
     assert main(["self-check", "--corpus", str(tmp_path)]) == 1
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -10,11 +10,8 @@ from conftest import (all_assignments, basis_index, brute_count, brute_eval, den
                       random_test_formula, reference_gate_fault)
 from qsatlab.cnf import (
     _ROW_VARS,
-    Clause,
     CnfFormula,
-    Literal,
     count_satisfying,
-    lits,
     parse_dimacs,
     required_ancillas,
 )
@@ -25,16 +22,16 @@ from qsatlab.sat_circuit import Circuit, build_sat_circuit, count_result_ones
 from reference import StateVector, prepare_uniform, run, success_probability
 
 EDGE_FORMULAS = [
-    CnfFormula(2, [lits(1, 2)]),
-    CnfFormula(1, [lits(1), lits(-1)]),
-    CnfFormula(1, [lits(1), lits(1)]),
-    CnfFormula(2, [lits(-1), lits(-1, 2)]),
+    CnfFormula(2, [(1, 2)]),
+    CnfFormula(1, [(1,), (-1,)]),
+    CnfFormula(1, [(1,), (1,)]),
+    CnfFormula(2, [(-1,), (-1, 2)]),
     CnfFormula(3),
-    CnfFormula(2, [Clause(), lits(1)]),
-    CnfFormula(3, [lits(1, -1), lits(2, 3)]),
-    CnfFormula(2, [lits(1, -1), lits(2, -2)]),
-    CnfFormula(3, [lits(1, 2, 3), lits(-1, -2, -3), lits(2)]),
-    CnfFormula(4, [lits(v) for v in range(1, 5)]),
+    CnfFormula(2, [(), (1,)]),
+    CnfFormula(3, [(1, -1), (2, 3)]),
+    CnfFormula(2, [(1, -1), (2, -2)]),
+    CnfFormula(3, [(1, 2, 3), (-1, -2, -3), (2,)]),
+    CnfFormula(4, [(v,) for v in range(1, 5)]),
 ]
 
 
@@ -140,7 +137,7 @@ def test_basis_behaviour_on_random_formulas():
 
 def test_uniform_run_branches():
     """One run on the uniform input checks every assignment branch at once."""
-    formula = CnfFormula(3, [lits(1, -2), lits(2, 3), lits(-3)])
+    formula = CnfFormula(3, [(1, -2), (2, 3), (-3,)])
     circuit = build_sat_circuit(formula)
     out = run(circuit, prepare_uniform(formula.n, circuit.num_qubits - formula.n))
     per_branch = np.abs(out.amps.reshape(1 << formula.n, -1)) ** 2
@@ -165,13 +162,13 @@ def test_ancilla_budget_linear_in_formula_size():
         f = random_test_formula(rng, max_n=8, max_m=12)
         mu = required_ancillas(f)
         assert mu <= f.n * max(f.num_clauses, 1) + 2
-    assert required_ancillas(CnfFormula(2, [lits(1, 2)])) == 2
+    assert required_ancillas(CnfFormula(2, [(1, 2)])) == 2
     assert required_ancillas(CnfFormula(3)) == 1
-    assert required_ancillas(CnfFormula(4, [lits(v) for v in range(1, 5)])) == 4
+    assert required_ancillas(CnfFormula(4, [(v,) for v in range(1, 5)])) == 4
 
 
 def test_result_qubit_is_last():
-    f = CnfFormula(3, [lits(1, 2), lits(-3)])
+    f = CnfFormula(3, [(1, 2), (-3,)])
     circuit = build_sat_circuit(f)
     width = circuit.num_qubits
     assert width == 3 + required_ancillas(f)
@@ -180,14 +177,14 @@ def test_result_qubit_is_last():
 
 
 def test_success_probability_examples():
-    f = CnfFormula(2, [lits(1, 2)])
+    f = CnfFormula(2, [(1, 2)])
     circuit = build_sat_circuit(f)
     out = run(circuit, prepare_uniform(2, circuit.num_qubits - 2))
     p = success_probability(out)
     assert p == pytest.approx(brute_count(f) / 4, abs=1e-12)
     assert p == pytest.approx(0.75, abs=1e-12)
 
-    unsat = CnfFormula(1, [lits(1), lits(-1)])
+    unsat = CnfFormula(1, [(1,), (-1,)])
     circuit = build_sat_circuit(unsat)
     out = run(circuit, prepare_uniform(1, circuit.num_qubits - 1))
     assert success_probability(out) == 0.0  # exact: gates only permute
@@ -203,9 +200,9 @@ def test_collapse_to_qubit():
     sqrt(1-q^2)|0> + q|1>, whose exact weight q^2 = count/2^n selects adapt's
     branch: no float rounds a small SAT weight to 0 or a large one to 1."""
     cases = [
-        (CnfFormula(1, [lits(1), lits(-1)]), Fraction(0)),
-        (CnfFormula(2, [lits(1, 2)]), Fraction(3, 4)),
-        (CnfFormula(8, [lits(v) for v in range(1, 9)]), Fraction(1, 256)),
+        (CnfFormula(1, [(1,), (-1,)]), Fraction(0)),
+        (CnfFormula(2, [(1, 2)]), Fraction(3, 4)),
+        (CnfFormula(8, [(v,) for v in range(1, 9)]), Fraction(1, 256)),
         (CnfFormula(2), Fraction(1)),
     ]
     damping = damping_generator(1.0).matrix
@@ -254,10 +251,10 @@ def test_count_result_ones_spans_only_the_variables_it_reads():
     past one word: the count runs in a few KiB, not the 2 MiB of all 2^24
     inputs."""
     clauses = [(19, -20, 21), (-19, 22), (23, -24), (-21, -22, 24), (20, 23)]
-    formula = CnfFormula(24, [lits(*c) for c in clauses])
+    formula = CnfFormula(24, clauses)
     count, peak = _count_peak_bytes(formula)
     assert peak < 64 * 1024
-    lanes = CnfFormula(6, [lits(*(k - 18 if k > 0 else k + 18 for k in c)) for c in clauses])
+    lanes = CnfFormula(6, [[k - 18 if k > 0 else k + 18 for k in c] for c in clauses])
     assert count == count_satisfying(formula).r == brute_count(lanes) << 18
 
 
@@ -281,7 +278,7 @@ def _formula_over(n: int, rng: random.Random, max_m: int = 8) -> CnfFormula:
     for _ in range(rng.randint(0, max_m)):
         shortest = 0 if n == 0 or rng.random() < 0.05 else 1
         chosen = rng.sample(range(1, n + 1), rng.randint(shortest, min(3, n)))
-        clauses.append(Clause(Literal(v, rng.random() < 0.5) for v in chosen))
+        clauses.append(tuple(-v if rng.random() < 0.5 else v for v in chosen))
     return CnfFormula(n, clauses)
 
 
@@ -345,7 +342,7 @@ def _row_layout_formulas(draw, n: int) -> CnfFormula:
     if draw(st.integers(0, 4)) == 0:
         clauses.append([])
     order = draw(st.permutations(range(len(clauses))))
-    return CnfFormula(n, [lits(*clauses[i]) for i in order])
+    return CnfFormula(n, [clauses[i] for i in order])
 
 
 @pytest.mark.parametrize("n", range(5 + _ROW_VARS, 11 + _ROW_VARS))
@@ -362,7 +359,7 @@ def test_packed_counts_agree_when_a_group_spans_batches():
     rng = random.Random(0)
 
     def clause(lowest):
-        return lits(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(lowest, 17), 6)))
+        return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(lowest, 17), 6))
 
     formula = CnfFormula(16, [clause(3) for _ in range(200)] + [clause(1) for _ in range(100)])
     assert count_satisfying(formula).r == count_result_ones(build_sat_circuit(formula), formula.n) == 697
@@ -378,7 +375,7 @@ def test_oracle_and_circuit_counts_agree_at_n20():
 
 
 def test_input_marginal_stays_uniform():
-    formula = CnfFormula(3, [lits(1, 2), lits(-2, 3)])
+    formula = CnfFormula(3, [(1, 2), (-2, 3)])
     circuit = build_sat_circuit(formula)
     out = run(circuit, prepare_uniform(3, circuit.num_qubits - 3))
     marginal = (np.abs(out.amps) ** 2).reshape(1 << 3, -1).sum(axis=1)
@@ -386,7 +383,7 @@ def test_input_marginal_stays_uniform():
 
 
 def test_cap_error_reports_requirements():
-    wide = CnfFormula(25, [lits(*range(1, 9)), lits(*range(9, 17)), lits(*range(17, 26))])
+    wide = CnfFormula(25, [range(1, 9), range(9, 17), range(17, 26)])
     circuit = build_sat_circuit(wide)  # the register width is not capped
     assert circuit.num_qubits == 25 + required_ancillas(wide) > 26
     with pytest.raises(EnumerationCapError, match=r"2\^25 assignments exceeds the cap of 2\^24"):
