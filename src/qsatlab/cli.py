@@ -1,5 +1,15 @@
 """Command line front end: `qsatlab solve` and `qsatlab self-check`.
 
+Every option is declared once, in build_parser, and each command parser keeps
+a table from its option strings to the argparse actions declared for them.
+When the first argument names a command, main reads the rest in one walk over
+that table: an option token must be one of its exact option strings, a value
+is the next token, converted by the action's type and checked against its
+choices. Anything the walk does not read that way (help, `--`, `--opt=value`,
+an unknown or positional token, a missing or refused value, a missing
+required option) goes to parse_args, so the walk gives the namespace
+parse_args gives, and help, usage text and every refusal stay argparse's.
+
 Exit codes follow sysexits for failures (64 usage, 65 bad data, 66 missing or
 unreadable input, 70 internal); under --exit-verdict a produced verdict maps
 to 10 (SAT) or 20 (UNSAT). self-check exits 1 on any disagreement.
@@ -9,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .errors import DimacsParseError
@@ -26,6 +37,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _options(*actions: argparse.Action) -> dict[str, argparse.Action]:
+    return {option: action for action in actions for option in action.option_strings}
+
+
 @functools.cache  # built on first use, then reused: in-process callers solve many times
 def build_parser() -> _Parser:
     # allow_abbrev=False: a prefix such as --a is an unknown option, never --amplifier.
@@ -37,26 +52,69 @@ def build_parser() -> _Parser:
     # default comes from PipelineConfig alone.
     solve = sub.add_parser("solve", help="decide one DIMACS instance",
                            argument_default=argparse.SUPPRESS, allow_abbrev=False)
-    solve.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
-                       help="DIMACS CNF file")
-    solve.add_argument("--mode", choices=MODES)
-    solve.add_argument("--amplifier", choices=AMPLIFIERS)
-    solve.add_argument("--gamma-re", type=float)
-    solve.add_argument("--gamma-im", type=float)
-    solve.add_argument("--e0", type=int)
-    solve.add_argument("--e1", type=int)
-    solve.add_argument("--emit", dest="emit_path", metavar="EMIT",
-                       help="write report/trace to this path")
-    solve.add_argument("--format", choices=FORMATS)
-    solve.add_argument(
-        "--exit-verdict", action="store_true", default=False,
-        help="exit 10 when SAT, 20 when UNSAT (script-friendly)",
+    # Each option is a plain store, or a store_true: _walk reads no other kind.
+    solve.options = _options(
+        solve.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                           help="DIMACS CNF file"),
+        solve.add_argument("--mode", choices=MODES),
+        solve.add_argument("--amplifier", choices=AMPLIFIERS),
+        solve.add_argument("--gamma-re", type=float),
+        solve.add_argument("--gamma-im", type=float),
+        solve.add_argument("--e0", type=int),
+        solve.add_argument("--e1", type=int),
+        solve.add_argument("--emit", dest="emit_path", metavar="EMIT",
+                           help="write report/trace to this path"),
+        solve.add_argument("--format", choices=FORMATS),
+        solve.add_argument(
+            "--exit-verdict", action="store_true", default=False,
+            help="exit 10 when SAT, 20 when UNSAT (script-friendly)",
+        ),
     )
 
     check = sub.add_parser("self-check", help="regression harness over a corpus directory",
                            allow_abbrev=False)
-    check.add_argument("--corpus", required=True, help="directory of .cnf files")
+    check.options = _options(check.add_argument("--corpus", required=True, help="directory of .cnf files"))
     return parser
+
+
+# A token argparse reads as a value although it starts with "-", given that no
+# option string looks like a negative number.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _walk(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace parser.parse_args(argv) gives, read in one pass over the
+    option table of the command argv[0] names; None where the walk cannot tell."""
+    command, *args = argv
+    options = parser.commands[command].options
+    namespace = argparse.Namespace(command=command)
+    tokens = iter(args)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.fullmatch(value):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (ValueError, TypeError, argparse.ArgumentTypeError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(namespace, action.dest, value)
+    for action in options.values():
+        if hasattr(namespace, action.dest):  # seen: each option has its own dest
+            continue
+        if action.required:
+            return None
+        if action.default is not argparse.SUPPRESS:
+            setattr(namespace, action.dest, action.default)
+    return namespace
 
 
 def _run_solve(args) -> int:
@@ -88,15 +146,8 @@ def _run_self_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    if argv and argv[0] in parser.commands:
-        # The subparsers action hands every string after the command to that
-        # command's parser, so calling it directly skips only the top-level
-        # scan; leftovers are refused as parse_args refuses them.
-        command = parser.commands[argv[0]]
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
-    else:
+    args = _walk(parser, argv) if argv and argv[0] in parser.commands else None
+    if args is None:
         args = parser.parse_args(argv)
     try:
         if args.command == "solve":

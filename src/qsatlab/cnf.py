@@ -90,7 +90,8 @@ def _dimacs(pos: int, neg: int) -> list[int]:
 class CnfFormula:
     """A conjunction of clauses over variables 1..n, each clause given as its
     signed DIMACS integers, as in CnfFormula(3, [(1, -2), (3,), ()]); a
-    literal that is 0, not exactly an int, or past n is refused. The formula
+    clause that is not iterable, or a literal that is 0, not exactly an int,
+    or past n is refused. The formula
     holds n and two mask columns alone: bit v of pos[i] is set when clause i
     holds v, bit v of neg[i] when it holds -v (bit 0 is never set), so
     duplicates collapse. Equality, hashing and pickling read those."""
@@ -103,7 +104,11 @@ class CnfFormula:
         if type(n) is not int or n < 0:
             raise ValueError(f"variable count must be an int >= 0, got {n!r}")
         pos_column, neg_column = [], []
-        for clause in map(tuple, clauses):
+        for clause in clauses:
+            try:
+                clause = tuple(clause)
+            except TypeError:  # a bare literal, as in [1] for [(1,)]
+                raise ValueError(f"clause {clause!r} is not a sequence of literals") from None
             for k in clause:
                 if type(k) is not int or not 0 < abs(k) <= n:
                     raise ValueError(f"clause {clause}: literal {k!r} is not a nonzero int in -{n}..{n}")

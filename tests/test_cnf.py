@@ -270,10 +270,14 @@ def test_roundtrip_random(seed):
 
 def test_formula_constructor_refuses_what_is_not_a_dimacs_literal():
     """0 ends a DIMACS clause; bool and numpy integers are not ints; a literal
-    past n names no variable; n itself is an int >= 0."""
+    past n names no variable; a bare literal is not a clause; n itself is an
+    int >= 0."""
     for clause in [(1, 0), (True,), (np.int64(1),), (1, -4), (4,)]:
         with pytest.raises(ValueError, match=re.escape(f"clause {clause}: literal {clause[-1]!r} ")):
             CnfFormula(3, [(2,), clause])
+    for clause in [1, None]:  # (1) where (1,) was meant
+        with pytest.raises(ValueError, match=re.escape(f"clause {clause!r} is not a sequence of literals")):
+            CnfFormula(1, [(1,), clause])
     for n in [2.5, -1, True]:
         with pytest.raises(ValueError, match=re.escape(f"variable count must be an int >= 0, got {n!r}")):
             CnfFormula(n)

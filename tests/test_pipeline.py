@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,7 +16,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -883,13 +883,18 @@ def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
     assert "invalid choice: 'warp'" in capsys.readouterr().err
 
 
+def _fields(namespace) -> str:
+    """The namespace's fields as text, so that a nan equals itself and 1 is not 1.0."""
+    return repr(sorted(vars(namespace).items()))
+
+
 def _outcome(parse, argv: list[str]):
     """What parse makes of argv, with all it prints: the namespace's fields,
     or the SystemExit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parse(argv))
+            result = _fields(parse(argv))
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -913,20 +918,31 @@ _ARGV_GRID = [
     ["-x", "solve", "--input", "x.cnf"], ["self-check", "--corpus", "c"], ["solve", "--", "--input", "x.cnf"],
     ["solve", "--input", "x.cnf", "--mode", "oracle", "--amplifier", "stochastic", "--gamma-re", "1.5",
      "--gamma-im", "-0.5", "--e0", "0", "--e1", "2", "--emit", "r.csv", "--format", "csv", "--exit-verdict"],
+    ["solve", "--input", "x.cnf", "--e0", "-1", "--gamma-re", "-.5"], ["solve", "--input", "x.cnf", "--gamma-re", "-5."],
+    ["solve", "--input", "x.cnf", "--gamma-re", "-1e3"], ["solve", "--input", "x.cnf", "--gamma-re", "1e3"],
+    ["solve", "--input", "x.cnf", "--e1", "-.5"], ["solve", "--input", "x.cnf", "--gamma-im", "nan"],
+    ["solve", "--input", ""], ["solve", "--input", "-"], ["solve", "--input", "x.cnf", "--e0=1"],
+    ["solve", "--input", "x.cnf", "--format", "csv", "--amplifier", "stochastic"],
+    ["solve", "--input", "x.cnf", "--format", "json", "--format", "xml"],
+    ["solve", "--input", "x.cnf", "--exit-verdict", "--exit-verdict"],
+    ["solve", "--input", "--mode"], ["solve", "--input", "x.cnf", "--emit", "--format", "csv"],
+    ["solve", "--input", "solve"], ["self-check", "--corpus", "--corpus"], ["self-check", "--corpus", "self-check"],
 ]
 
 
 @pytest.mark.parametrize("argv", _ARGV_GRID, ids=" ".join)
 def test_cli_dispatch_matches_the_top_level_parse(argv):
-    """main hands a command's arguments straight to that command's parser; it
-    gets the namespace parse_args gets, or exits with the same code and text."""
+    """main walks a command's arguments over that command's option table, or
+    leaves them to parse_args; it gets the namespace parse_args gets, or exits
+    with the same code and text."""
     assert _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
 
 
 _ARGV_WORDS = st.sampled_from([
     "solve", "self-check", "bogus", "--input", "--mode", "--amplifier", "--gamma-re", "--gamma-im", "--e0",
     "--e1", "--emit", "--format", "--exit-verdict", "--corpus", "--input=x.cnf", "oracle", "warp", "1.5",
-    "-0.5", "x", "--", "-h", "--a", "--inp",
+    "-0.5", "x", "--", "-h", "--a", "--inp", "-1", "-.5", "-5.", "-1e3", "1e3", "", "-", "--e0=1", "csv", "json",
+    "stochastic", "nan",
 ])
 # About half the draws lead with a command, so they take the dispatch.
 _ARGVS = st.lists(_ARGV_WORDS, max_size=8) | st.builds(
@@ -936,6 +952,27 @@ _ARGVS = st.lists(_ARGV_WORDS, max_size=8) | st.builds(
 @given(_ARGVS)
 def test_cli_dispatch_matches_the_top_level_parse_on_any_argv(argv):
     assert _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+_BENCHMARK_SHAPES = {
+    "oracle-stochastic-csv": ["--mode", "oracle", "--amplifier", "stochastic", "--format", "csv", "--gamma-re", "1.23",
+                              "--gamma-im", "-0.45", "--e0", "-1", "--e1", "2"],
+    "statevector-chaos-json": ["--mode", "statevector", "--amplifier", "chaos", "--format", "json"],
+    "oracle-chaos-json": ["--mode", "oracle", "--amplifier", "chaos", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("options", _BENCHMARK_SHAPES.values(), ids=_BENCHMARK_SHAPES)
+def test_cli_walks_every_benchmark_argv_without_argparse(monkeypatch, options):
+    """Each argv shape the benchmark sends reaches _run_solve with the
+    namespace parse_args gives, while argparse's parse is made to fail."""
+    argv = ["solve", "--input", "x.cnf", *options, "--exit-verdict", "--emit", "out.csv"]
+    want = cli.build_parser().parse_args(argv)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse parsed a benchmark argv")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
+    assert _fields(_dispatched(argv)) == _fields(want)
 
 
 def test_cli_reads_sys_argv_when_given_none(monkeypatch):
