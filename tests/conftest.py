@@ -234,5 +234,5 @@ def basis_index(bits: tuple[int, ...]) -> int:
 
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
-    assert CORPUS_DIR.is_dir(), "bundled corpus missing; run python -m qsatlab.corpus corpus/"
+    assert CORPUS_DIR.is_dir(), "bundled corpus missing; run PYTHONPATH=src python tests/corpus.py corpus/"
     return CORPUS_DIR

@@ -1,8 +1,9 @@
 """Deterministic regression corpus: edge cases, unique-solution needles, and
 seeded random formulas, each annotated with its brute-forced expectation.
 
-The checked-in corpus/ directory is the output of `python -m qsatlab.corpus
-corpus/`; regeneration is byte-identical.
+The checked-in corpus/ directory is the output of `PYTHONPATH=src python
+tests/corpus.py corpus/`, run from the root of the repository; regeneration is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cnf import CnfFormula, count_satisfying, required_ancillas, serialize_dimacs
+from qsatlab.cnf import CnfFormula, count_satisfying, required_ancillas, serialize_dimacs
 
 _SEED = 20250809
 

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import io
 import pickle
 import random
 import re
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (all_assignments, bit_parallel_count, brute_count, brute_eval, random_3cnf, random_test_formula,
                       reference_parse)
 from qsatlab import cnf
+from qsatlab.cli import main
 from qsatlab.cnf import (
     CnfFormula,
     CountSummary,
@@ -249,6 +253,40 @@ def test_parsed_formula_equals_the_public_build(text):
     assert formula.num_clauses == public.num_clauses == len(clauses)
     with pytest.raises(dataclasses.FrozenInstanceError):
         formula.n = formula.n + 1
+
+
+def _solve_file(data: bytes) -> tuple[int, str, str]:
+    """`qsatlab solve` on a file holding data: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "drawn.cnf"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_dimacs_texts())
+def test_cli_solve_reports_what_the_reference_reads(text):
+    """`qsatlab solve` on any drawn text exits 65 naming the reference's
+    fault and line, or prints the reference's n and m; no draw exits 70."""
+    code, out, err = _solve_file(text.encode())
+    expected = reference_parse(text)
+    if isinstance(expected[0], str):
+        message, line = expected
+        assert (code, out, err) == (65, "", f"qsatlab: parse error: line {line}: {message}\n")
+    else:
+        n, clauses = expected
+        assert (code, err) == (0, ""), (text, err)
+        assert f"formula    : n={n} m={len(clauses)} mu=" in out
+
+
+@given(_dimacs_texts(), st.integers(0, 200))
+def test_cli_solve_refuses_a_byte_that_is_not_utf8_anywhere(text, at):
+    data = text.encode()
+    at %= len(data) + 1
+    code, out, err = _solve_file(data[:at] + b"\xff" + data[at:])
+    assert (code, out) == (65, "") and err.startswith("qsatlab: parse error: 'utf-8' codec can't decode byte"), err
 
 
 def test_roundtrip_examples():

@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import brute_count, inflating_generator
+from corpus import write_corpus
 import qsatlab
 from qsatlab import adaptive, cli, pipeline
 from qsatlab.chaos import ChaosVerdict
 from qsatlab.cli import main
 from qsatlab.cnf import CnfFormula, count_satisfying, parse_dimacs, required_ancillas, serialize_dimacs
-from qsatlab.corpus import write_corpus
 from qsatlab.errors import DimacsParseError, EnumerationCapError, InvariantError
 from qsatlab.pipeline import (
     AMPLIFIERS,
@@ -932,10 +932,11 @@ _ARGV_GRID = [
 
 @pytest.mark.parametrize("argv", _ARGV_GRID, ids=" ".join)
 def test_cli_dispatch_matches_the_top_level_parse(argv):
-    """main walks a command's arguments over that command's option table, or
-    leaves them to parse_args; it gets the namespace parse_args gets, or exits
-    with the same code and text."""
-    assert _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
+    """main gets the namespace parse_args gets, or exits with the same code
+    and text, on the first call and on a repeat that may meet the argv memo."""
+    want = _outcome(cli.build_parser().parse_args, argv)
+    assert _outcome(_dispatched, argv) == want
+    assert _outcome(_dispatched, argv) == want
 
 
 _ARGV_WORDS = st.sampled_from([
@@ -951,7 +952,9 @@ _ARGVS = st.lists(_ARGV_WORDS, max_size=8) | st.builds(
 
 @given(_ARGVS)
 def test_cli_dispatch_matches_the_top_level_parse_on_any_argv(argv):
-    assert _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
+    want = _outcome(cli.build_parser().parse_args, argv)
+    assert _outcome(_dispatched, argv) == want
+    assert _outcome(_dispatched, argv) == want
 
 
 _BENCHMARK_SHAPES = {
@@ -963,16 +966,51 @@ _BENCHMARK_SHAPES = {
 
 
 @pytest.mark.parametrize("options", _BENCHMARK_SHAPES.values(), ids=_BENCHMARK_SHAPES)
-def test_cli_walks_every_benchmark_argv_without_argparse(monkeypatch, options):
-    """Each argv shape the benchmark sends reaches _run_solve with the
-    namespace parse_args gives, while argparse's parse is made to fail."""
+def test_cli_answers_a_repeated_benchmark_argv_from_its_memo(monkeypatch, options):
+    """Each argv shape the benchmark sends is parsed on its first call; a
+    second identical call reaches _run_solve with the same namespace while
+    argparse's parse is made to fail."""
     argv = ["solve", "--input", "x.cnf", *options, "--exit-verdict", "--emit", "out.csv"]
-    want = cli.build_parser().parse_args(argv)
+    cli._parse.cache_clear()
+    want = _fields(cli.build_parser().parse_args(argv))
+    assert _fields(_dispatched(argv)) == want
 
     def refused(*args, **kwargs):
-        raise AssertionError("argparse parsed a benchmark argv")
+        raise AssertionError("argparse parsed a remembered argv")
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refused)
-    assert _fields(_dispatched(argv)) == _fields(want)
+    assert _fields(_dispatched(argv)) == want
+    assert cli._parse.cache_info()[:2] == (1, 1)  # one hit, one miss
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--input", "x.cnf", "--mode", "warp"], "argument --mode: invalid choice: 'warp'"),
+    (["solve", "--input", "x.cnf", "--gamma-re", "-1e3"], "argument --gamma-re: expected one argument"),
+    (["solve"], "the following arguments are required: --input"),
+], ids=["choice", "negative-exponent", "required"])
+def test_cli_remembers_no_refused_argv(argv, message):
+    """A refused argv given twice exits 64 with argparse's own text both
+    times: the memo stored nothing for it."""
+    cli._parse.cache_clear()
+    first = _outcome(_dispatched, argv)
+    assert first == _outcome(_dispatched, argv) == _outcome(cli.build_parser().parse_args, argv)
+    assert first[0] == 64 and f"\nqsatlab solve: error: {message}" in first[2]
+    assert cli._parse.cache_info().currsize == 0
+
+
+def test_cli_hands_each_call_a_namespace_of_its_own(monkeypatch):
+    """A command that changes its namespace leaves the next identical argv's
+    namespace as parse_args gives it."""
+    argv = ["solve", "--input", "x.cnf", "--amplifier", "stochastic", "--e0", "-1"]
+    want = _fields(cli.build_parser().parse_args(argv))
+
+    def vandal(args):
+        args.input_path, args.e0 = "other.cnf", 7
+        del args.amplifier
+        args.extra = []
+        return 0
+    monkeypatch.setattr(cli, "_run_solve", vandal)
+    assert main(argv) == main(argv) == 0
+    assert _fields(_dispatched(argv)) == want
 
 
 def test_cli_reads_sys_argv_when_given_none(monkeypatch):
